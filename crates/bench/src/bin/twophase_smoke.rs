@@ -13,12 +13,16 @@
 //!    `overlap_saved_ns` and a phase breakdown that still explains the
 //!    whole makespan.
 //!
+//! Each of these checks is a named boolean in the report's `"gates"`
+//! object; the report is written before the binary fails on a false gate,
+//! so a failing run still leaves its numbers behind.
+//!
 //! Usage: `cargo run --release -p pnetcdf-bench --bin twophase_smoke`
 
 use flash_io::{run_flash_io_mode, FlashConfig, IoLibrary, OutputKind, WriteMode};
 use hpc_sim::trace::Json;
 use hpc_sim::SimConfig;
-use pnetcdf_bench::report::{check_coverage, write_report};
+use pnetcdf_bench::report::write_report;
 use pnetcdf_pfs::{Pfs, StorageMode};
 
 const NPROCS: usize = 64;
@@ -59,12 +63,8 @@ fn main() {
         SimConfig::asci_frost(),
         WriteMode::collective_hints(CB_BUFFER, false),
     );
-    assert_eq!(
-        serial_bytes, reference,
-        "FAIL: the serial engine produced different file contents"
-    );
     println!(
-        "  serial:    {:.1} MB/s, byte-identical ({} KiB buffer)",
+        "  serial:    {:.1} MB/s ({} KiB buffer)",
         serial.bandwidth_mb_s,
         CB_BUFFER / 1024
     );
@@ -73,34 +73,44 @@ fn main() {
     sim.profile.set_enabled(true);
     let (pipelined_bytes, pipelined) =
         checkpoint_bytes(sim.clone(), WriteMode::collective_hints(CB_BUFFER, true));
-    assert_eq!(
-        pipelined_bytes, reference,
-        "FAIL: the pipelined engine produced different file contents"
-    );
-    let tp = sim.profile.twophase_counters();
-    assert!(
-        tp.pipelined_rounds >= 2,
-        "FAIL: workload too small to pipeline: {tp:?}"
-    );
-    assert!(
-        tp.overlap_saved_nanos > 0,
-        "FAIL: pipelining hid no exchange time: {tp:?}"
-    );
-    assert!(
-        pipelined.time <= serial.time,
-        "FAIL: pipelined engine slower than serial ({:?} vs {:?})",
-        pipelined.time,
-        serial.time
-    );
-    let profile = sim.profile.snapshot().to_json(pipelined.time.as_nanos());
-    check_coverage(&profile, 0.05);
+    let snap = sim.profile.snapshot();
+    let tp = snap.twophase;
+    let profile = snap.to_json(pipelined.time.as_nanos());
+    let coverage = profile
+        .get("coverage")
+        .and_then(Json::as_f64)
+        .expect("profile has a coverage field");
     println!(
-        "  pipelined: {:.1} MB/s, byte-identical; {} rounds, {:.3} s overlap hidden",
+        "  pipelined: {:.1} MB/s; {} rounds, {:.3} s overlap hidden",
         pipelined.bandwidth_mb_s,
         tp.pipelined_rounds,
         tp.overlap_saved_nanos as f64 / 1e9
     );
 
+    // Every gate is a real comparison; CI fails on any false or missing one.
+    let gates = [
+        ("serial_byte_identical", serial_bytes == reference),
+        ("pipelined_byte_identical", pipelined_bytes == reference),
+        ("multi_round", tp.pipelined_rounds >= 2),
+        ("overlap_saved_nonzero", tp.overlap_saved_nanos > 0),
+        ("pipelined_not_slower", pipelined.time <= serial.time),
+        ("phase_coverage_exact", (coverage - 1.0).abs() <= 0.05),
+        ("cb_nodes_recorded", tp.cb_nodes >= 1),
+        (
+            "server_pipeline_engaged",
+            !snap.servers.is_empty()
+                && snap.servers.iter().all(|s| {
+                    s.nic_busy_nanos > 0
+                        && s.disk_busy_nanos > 0
+                        && s.overlap_nanos > 0
+                        && s.max_queue_depth >= 1
+                }),
+        ),
+    ];
+    let mut gates_json = Json::obj();
+    for (name, ok) in gates {
+        gates_json.set(name, ok);
+    }
     write_report(
         "twophase_smoke.profile.json",
         &Json::obj()
@@ -113,8 +123,10 @@ fn main() {
             .with("pipelined_mb_s", pipelined.bandwidth_mb_s)
             .with("rounds", tp.pipelined_rounds)
             .with("overlap_saved_ns", tp.overlap_saved_nanos)
-            .with("byte_identical", true)
+            .with("gates", gates_json)
             .with("profile", profile),
     );
+    let failed: Vec<&str> = gates.iter().filter(|g| !g.1).map(|g| g.0).collect();
+    assert!(failed.is_empty(), "FAIL: twophase smoke gates {failed:?}");
     println!("twophase smoke OK");
 }

@@ -325,14 +325,38 @@ impl MpiFile {
         Ok(std::borrow::Cow::Owned(data))
     }
 
+    /// The inverse of [`Self::stage`]: deliver read bytes into the memory
+    /// buffer described by `(buf, count, memtype)` — a plain copy for
+    /// contiguous memory, an unpack charged as CPU time otherwise.
+    fn unstage(
+        &self,
+        data: &[u8],
+        buf: &mut [u8],
+        count: usize,
+        memtype: &Datatype,
+    ) -> MpioResult<()> {
+        if memtype.is_contiguous() && memtype.lb() == 0 {
+            if buf.len() < data.len() {
+                return Err(MpioError::InvalidArgument(format!(
+                    "memory buffer has {} bytes, read produced {}",
+                    buf.len(),
+                    data.len()
+                )));
+            }
+            buf[..data.len()].copy_from_slice(data);
+        } else {
+            pack::unpack(data, buf, count, memtype)?;
+            self.comm
+                .advance(self.comm.config().cpu.pack(data.len(), 1.0));
+        }
+        Ok(())
+    }
+
     fn params(&self) -> TwoPhaseParams {
         let cfg = self.comm.config();
         TwoPhaseParams {
             cb_buffer_size: self.hints.cb_buffer_size,
-            cb_nodes: self
-                .hints
-                .cb_nodes
-                .map(|_| self.hints.aggregators(self.comm.size(), cfg.io_servers)),
+            cb_nodes: self.hints.cb_nodes,
             io_servers: cfg.io_servers,
             stripe: cfg.stripe_size as u64,
             pipeline: self.hints.cb_pipeline.resolve(true),
@@ -465,20 +489,7 @@ impl MpiFile {
         let want = memtype.size() as usize * count;
         let runs = self.mapped(offset, want as u64)?;
         let data = self.read_runs_at(&runs)?;
-        if memtype.is_contiguous() && memtype.lb() == 0 {
-            if buf.len() < data.len() {
-                return Err(MpioError::InvalidArgument(format!(
-                    "memory buffer has {} bytes, read produced {}",
-                    buf.len(),
-                    data.len()
-                )));
-            }
-            buf[..data.len()].copy_from_slice(&data);
-        } else {
-            pack::unpack(&data, buf, count, memtype)?;
-            self.comm
-                .advance(self.comm.config().cpu.pack(data.len(), 1.0));
-        }
+        self.unstage(&data, buf, count, memtype)?;
         Ok(want)
     }
 
@@ -589,20 +600,7 @@ impl MpiFile {
         let want = memtype.size() as usize * count;
         let runs = self.mapped(offset, want as u64)?;
         let data = self.read_runs_at_all(&runs)?;
-        if memtype.is_contiguous() && memtype.lb() == 0 {
-            if buf.len() < data.len() {
-                return Err(MpioError::InvalidArgument(format!(
-                    "memory buffer has {} bytes, read produced {}",
-                    buf.len(),
-                    data.len()
-                )));
-            }
-            buf[..data.len()].copy_from_slice(&data);
-        } else {
-            pack::unpack(&data, buf, count, memtype)?;
-            self.comm
-                .advance(self.comm.config().cpu.pack(data.len(), 1.0));
-        }
+        self.unstage(&data, buf, count, memtype)?;
         Ok(want)
     }
 

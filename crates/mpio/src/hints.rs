@@ -40,8 +40,9 @@ impl Toggle {
 pub struct Hints {
     /// Collective buffering buffer size per aggregator (`cb_buffer_size`).
     pub cb_buffer_size: usize,
-    /// Number of aggregator ranks (`cb_nodes`); `None` = choose at open
-    /// time (min of communicator size and I/O server count).
+    /// Number of aggregator ranks (`cb_nodes`); `None` = choose per
+    /// collective from the server count and request volume
+    /// (`twophase::dynamic_cb_nodes`).
     pub cb_nodes: Option<usize>,
     /// Enable two-phase on collective writes (`romio_cb_write`).
     pub cb_write: Toggle,
@@ -225,19 +226,6 @@ impl Hints {
         }
         (Hints::from_info(info), rejected)
     }
-
-    /// Number of aggregators for a communicator of `nprocs` over
-    /// `io_servers` servers, before the per-collective volume cap.
-    ///
-    /// With the dual-resource servers, more aggregator streams per server
-    /// only queue behind one disk, so the default matches aggregators to
-    /// I/O servers (one stream each keeps every NIC+disk pipeline full).
-    /// A `cb_nodes` hint overrides; collectives that know their request
-    /// volume shrink the unhinted default further
-    /// (`twophase::dynamic_cb_nodes`).
-    pub fn aggregators(&self, nprocs: usize, io_servers: usize) -> usize {
-        self.cb_nodes.unwrap_or(io_servers).min(nprocs).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -309,22 +297,6 @@ mod tests {
         assert_eq!(h.cache_size, 65536);
         assert_eq!(h.cache_page_size, 4096);
         assert_eq!(h.cache_readahead, 0, "explicit 0 must stick");
-    }
-
-    #[test]
-    fn aggregator_selection() {
-        let h = Hints::default();
-        assert_eq!(h.aggregators(32, 12), 12);
-        assert_eq!(h.aggregators(4, 12), 4);
-        // One aggregator stream per I/O server: no per-node floor.
-        assert_eq!(h.aggregators(32, 2), 2);
-        assert_eq!(h.aggregators(4, 2), 2);
-        let h2 = Hints {
-            cb_nodes: Some(2),
-            ..Hints::default()
-        };
-        assert_eq!(h2.aggregators(32, 12), 2);
-        assert_eq!(h2.aggregators(1, 12), 1);
     }
 
     #[test]

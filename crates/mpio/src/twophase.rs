@@ -21,8 +21,10 @@
 //! the synchronized time `t0` and advance through the shared server queues
 //! in rank order.
 
+use std::ops::Range;
+
 use hpc_sim::trace::events::{layer, stage};
-use hpc_sim::{Phase, Profile, Span, Time, TraceCtx, TraceLog};
+use hpc_sim::{Phase, Profile, Span, Time, TraceCtx};
 use pnetcdf_mpi::CollEnv;
 use pnetcdf_pfs::{PfsFile, WriteCompletion};
 
@@ -198,146 +200,33 @@ pub fn file_domains(gmin: u64, gmax: u64, naggs: usize, stripe: u64) -> Vec<(u64
     out
 }
 
-/// Total requested bytes falling inside each domain, summed over all ranks.
-/// `domains` must be sorted and disjoint; each rank's `runs` sorted.
-pub fn bytes_per_domain(all_runs: &[Vec<Run>], domains: &[(u64, u64)]) -> Vec<u64> {
-    let mut acc = vec![0u64; domains.len()];
-    for runs in all_runs {
-        let mut d = 0usize;
-        for &(off, len) in runs {
-            let mut lo = off;
-            let end = off + len;
-            while lo < end && d < domains.len() {
-                let (dlo, dhi) = domains[d];
-                if end <= dlo {
-                    break;
-                }
-                if lo >= dhi {
-                    d += 1;
-                    continue;
-                }
-                let take = end.min(dhi) - lo.max(dlo);
-                acc[d] += take;
-                lo = lo.max(dlo) + take;
-                if lo >= dhi {
-                    d += 1;
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// Bytes of one rank's request that overlap one domain.
-fn overlap_bytes(runs: &[Run], (dlo, dhi): (u64, u64)) -> u64 {
-    let mut acc = 0u64;
-    for &(off, len) in runs {
-        let end = off + len;
-        if end <= dlo {
-            continue;
-        }
-        if off >= dhi {
-            break;
-        }
-        acc += end.min(dhi) - off.max(dlo);
-    }
-    acc
-}
-
-/// Exchange-phase wire cost: aggregator `a` owns `domains[a]` and *is* rank
-/// `a` (ROMIO's default aggregator ranklist), so bytes a rank requests
-/// within its own domain move by memcpy, not over the network. This is why
-/// Z-ish partitions — whose blocks align with the file domains — exchange
-/// less than X-ish partitions (the paper's "different access contiguity").
-fn exchange_cost(
-    env: &CollEnv,
-    all_runs: &[Vec<Run>],
-    totals: &[u64],
-    domains: &[(u64, u64)],
-) -> Time {
-    let n = env.size();
-    let mut max_rank_wire = 0u64; // busiest non-aggregator-side endpoint
-    let mut total_wire = 0u64;
-    for (r, runs) in all_runs.iter().enumerate() {
-        let local = domains.get(r).map(|&d| overlap_bytes(runs, d)).unwrap_or(0);
-        max_rank_wire = max_rank_wire.max(totals[r] - local);
-        total_wire += totals[r] - local;
-    }
-    let per_domain = bytes_per_domain(all_runs, domains);
-    let mut max_agg_wire = 0u64;
-    for (a, &bytes) in per_domain.iter().enumerate() {
-        let local = all_runs
-            .get(a)
-            .map(|runs| overlap_bytes(runs, domains[a]))
-            .unwrap_or(0);
-        max_agg_wire = max_agg_wire.max(bytes - local);
-    }
-    env.config
-        .profile
-        .record_twophase(|t| t.exchange_wire_bytes += total_wire);
-    env.config
-        .network
-        .alltoallv(max_rank_wire as usize, max_agg_wire as usize, n)
-}
-
-/// Per-round exchange wire statistics for the pipelined engine: round `j`
-/// ships only the bytes that land in (writes) or come out of (reads) the
-/// round-`j` windows.
-#[derive(Clone, Copy, Debug, Default)]
-struct RoundWire {
-    /// Busiest non-aggregator endpoint: bytes one rank moves this round.
+/// Exchange wire traffic of one batch of rounds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Wire {
+    /// Busiest non-aggregator endpoint: bytes one rank moves.
     max_send: u64,
     /// Busiest aggregator endpoint: bytes arriving from other ranks.
     max_recv: u64,
-    /// Total bytes crossing the network this round.
+    /// Total bytes crossing the network.
     total: u64,
 }
 
-/// Compute each round's wire traffic from the gathered window pieces.
-/// A piece whose owning rank *is* the window's aggregator moves by memcpy
-/// and costs no wire, exactly as in the monolithic [`exchange_cost`] — the
-/// per-round totals sum to the same `exchange_wire_bytes`.
-fn round_wire(windows: &[Vec<Vec<Piece>>], nranks: usize, rounds: usize) -> Vec<RoundWire> {
-    let mut out = Vec::with_capacity(rounds);
-    for j in 0..rounds {
-        let mut send = vec![0u64; nranks];
-        let mut w = RoundWire::default();
-        for (a, agg_windows) in windows.iter().enumerate() {
-            let Some(pieces) = agg_windows.get(j) else {
-                continue;
-            };
-            let mut recv = 0u64;
-            for pc in pieces {
-                if pc.rank != a {
-                    send[pc.rank] += pc.len;
-                    recv += pc.len;
-                }
-            }
-            w.max_recv = w.max_recv.max(recv);
-            w.total += recv;
-        }
-        w.max_send = send.into_iter().max().unwrap_or(0);
-        out.push(w);
-    }
-    out
-}
-
-/// Monolithic exchange wire traffic computed from the gathered windows
-/// themselves: a piece whose owning rank *is* the window's aggregator moves
-/// by memcpy. Unlike [`exchange_cost`] this needs no contiguous domain
-/// table, so it prices server-affine (interleaved) write domains too; for
-/// contiguous domains the two agree exactly.
-fn monolithic_wire(windows: &[Vec<Vec<Piece>>], nranks: usize) -> RoundWire {
+/// Wire traffic of the rounds in `batch`: round `j` ships exactly the bytes
+/// that land in (writes) or come out of (reads) the round-`j` windows.
+/// Aggregator `a` *is* rank `a` (ROMIO's default aggregator ranklist), so a
+/// piece owned by its window's aggregator moves by memcpy, not over the
+/// network. This is why Z-ish partitions — whose blocks align with the file
+/// domains — exchange less than X-ish partitions (the paper's "different
+/// access contiguity").
+fn batch_wire(windows: &[Vec<Vec<Piece>>], nranks: usize, batch: Range<usize>) -> Wire {
     let mut send = vec![0u64; nranks];
-    let mut w = RoundWire::default();
+    let mut w = Wire::default();
     for (a, agg_windows) in windows.iter().enumerate() {
         let mut recv = 0u64;
-        for pieces in agg_windows {
-            for pc in pieces {
-                if pc.rank != a {
-                    send[pc.rank] += pc.len;
-                    recv += pc.len;
-                }
+        for pieces in agg_windows.iter().take(batch.end).skip(batch.start) {
+            for pc in pieces.iter().filter(|pc| pc.rank != a) {
+                send[pc.rank] += pc.len;
+                recv += pc.len;
             }
         }
         w.max_recv = w.max_recv.max(recv);
@@ -411,49 +300,120 @@ fn merge_coverage(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     out
 }
 
-// ---- server-affine write domains --------------------------------------------
+// ---- window planning ----------------------------------------------------------
+
+/// Sorted `(offset, len)` stripe ranges an affine window owns.
+type StripeRanges = Vec<(u64, u64)>;
+
+/// Window plan of one collective: `windows[a][j]` holds round `j`'s pieces
+/// for aggregator `a` (windows no piece touches are dropped). With
+/// server-affine domains, `extents[a][j]` holds the sorted owned stripe
+/// ranges those pieces may touch.
+struct Plan {
+    windows: Vec<Vec<Vec<Piece>>>,
+    extents: Option<Vec<Vec<StripeRanges>>>,
+    /// File domains the aggregators own.
+    domains: usize,
+}
+
+impl Plan {
+    /// Plan `[gmin, gmax)`: server-affine windows when `affinity` is on and
+    /// the span is small enough to walk stripe by stripe, contiguous
+    /// domains otherwise.
+    fn new(
+        runs: &[&[Run]],
+        gmin: u64,
+        gmax: u64,
+        naggs: usize,
+        p: &TwoPhaseParams,
+        affinity: bool,
+    ) -> Plan {
+        let span_stripes = (gmax - 1) / p.stripe - gmin / p.stripe + 1;
+        if affinity && span_stripes <= AFFINE_SPAN_LIMIT {
+            return gather_affine_windows(runs, gmin, gmax, naggs, p);
+        }
+        let domains = file_domains(gmin, gmax, naggs, p.stripe);
+        Plan {
+            windows: gather_windows(runs, &domains, p.cb_buffer_size),
+            extents: None,
+            domains: domains.len(),
+        }
+    }
+
+    /// Rounds of the busiest aggregator.
+    fn rounds(&self) -> usize {
+        self.windows.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// Owned stripe ranges of window `(a, j)` (affine plans only).
+    fn extents(&self, a: usize, j: usize) -> Option<&[(u64, u64)]> {
+        self.extents.as_ref().map(|e| e[a][j].as_slice())
+    }
+}
+
+/// Pre-gather every aggregator's windows' piece lists: one offset-ordered
+/// pass with per-rank cursors. `result[a][j]` holds the pieces of window
+/// `j` within domain `a` (empty windows are dropped).
+fn gather_windows(
+    runs: &[&[Run]],
+    domains: &[(u64, u64)],
+    cb_buffer_size: usize,
+) -> Vec<Vec<Vec<Piece>>> {
+    let mut cursors = vec![Cursor::default(); runs.len()];
+    let mut out = Vec::with_capacity(domains.len());
+    let cb = cb_buffer_size as u64;
+    for &(dlo, dhi) in domains {
+        let mut agg_windows = Vec::new();
+        let mut wlo = dlo;
+        while wlo < dhi {
+            // Window boundaries at absolute multiples of the buffer size,
+            // which (for the default hints) are file-system block aligned.
+            let whi = ((wlo / cb + 1) * cb).min(dhi);
+            let mut pieces: Vec<Piece> = Vec::new();
+            for (r, rank_runs) in runs.iter().enumerate() {
+                take_pieces(rank_runs, &mut cursors[r], whi, r, &mut pieces);
+            }
+            wlo = whi;
+            if !pieces.is_empty() {
+                agg_windows.push(pieces);
+            }
+        }
+        out.push(agg_windows);
+    }
+    out
+}
 
 /// Affine planning walks every stripe of the aggregate span once; beyond
 /// this many stripes (4 Mi ≈ a multi-TiB span at default stripes) fall
 /// back to contiguous domains rather than build giant per-stripe tables.
 const AFFINE_SPAN_LIMIT: u64 = 1 << 22;
 
-/// Server-affine window plan: `windows[a][j]` holds round `j`'s pieces for
-/// aggregator `a`, `extents[a][j]` the sorted owned stripe ranges those
-/// pieces may touch. Aggregator `a` owns exactly the stripes of servers
-/// `{s : s % naggs_eff == a}`, so its disk traffic never contends with
-/// another aggregator's.
-struct AffinePlan {
-    windows: Vec<Vec<Vec<Piece>>>,
-    extents: Vec<Vec<Vec<(u64, u64)>>>,
-    naggs_eff: usize,
-}
-
-/// Build the affine plan for `[gmin, gmax)`. Stripe `s` lives on server
-/// `s % nservers` and is owned by aggregator `(s % nservers) % naggs_eff`;
-/// each aggregator groups its consecutive owned stripes into windows of
-/// about `cb_buffer_size` bytes. Pieces are split at stripe boundaries so
-/// each lies in exactly one window (and one extent).
+/// Build the server-affine plan for `[gmin, gmax)`. Stripe `s` lives on
+/// server `s % nservers` and is owned by aggregator
+/// `(s % nservers) % naggs_eff`, so aggregator `a` owns exactly the stripes
+/// of a distinct subset of servers and its disk traffic never contends
+/// with another aggregator's. Each aggregator groups its consecutive owned
+/// stripes into windows of about `cb_buffer_size` bytes. Pieces are split
+/// at stripe boundaries so each lies in exactly one window (and one
+/// extent).
 fn gather_affine_windows(
-    all_runs: &[Vec<Run>],
+    runs: &[&[Run]],
     gmin: u64,
     gmax: u64,
     naggs: usize,
-    io_servers: usize,
-    stripe: u64,
-    cb_buffer_size: usize,
-) -> AffinePlan {
+    p: &TwoPhaseParams,
+) -> Plan {
     debug_assert!(gmax > gmin);
-    let nservers = io_servers.max(1) as u64;
-    let naggs_eff = naggs.min(io_servers).max(1);
+    let stripe = p.stripe;
+    let nservers = p.io_servers.max(1) as u64;
+    let naggs_eff = naggs.min(p.io_servers).max(1);
     let s0 = gmin / stripe;
     let s1 = (gmax - 1) / stripe;
-    let cb = cb_buffer_size.max(1) as u64;
-
+    let cb = p.cb_buffer_size.max(1) as u64;
     // Pass 1: per-stripe owner and window index, plus per-window extents.
     let mut wmap: Vec<u32> = Vec::with_capacity((s1 - s0 + 1) as usize);
     let mut wbytes = vec![0u64; naggs_eff];
-    let mut extents: Vec<Vec<Vec<(u64, u64)>>> = vec![Vec::new(); naggs_eff];
+    let mut extents: Vec<Vec<StripeRanges>> = vec![Vec::new(); naggs_eff];
     for s in s0..=s1 {
         let a = ((s % nservers) as usize) % naggs_eff;
         let elo = (s * stripe).max(gmin);
@@ -480,9 +440,9 @@ fn gather_affine_windows(
         .iter()
         .map(|aw| vec![Vec::new(); aw.len()])
         .collect();
-    for (r, runs) in all_runs.iter().enumerate() {
+    for (r, rank_runs) in runs.iter().enumerate() {
         let mut src = 0u64;
-        for &(off, len) in runs {
+        for &(off, len) in rank_runs.iter() {
             let end = off + len;
             let mut lo = off;
             while lo < end {
@@ -514,51 +474,92 @@ fn gather_affine_windows(
         windows[a] = kept_w;
         extents[a] = kept_e;
     }
-    AffinePlan {
+    Plan {
         windows,
-        extents,
-        naggs_eff,
+        extents: Some(extents),
+        domains: naggs_eff,
     }
 }
 
-// ---- event tracing ----------------------------------------------------------
+// ---- windows and tracing ----------------------------------------------------
 
-/// Tracing identity of one collective-buffer window: its round index, its
-/// pre-allocated span id, and the owning aggregator's collective-span id
-/// (the window span's parent). All zeros while tracing is off.
-#[derive(Clone, Copy, Default)]
-struct WinTrace {
+/// One collective-buffer window in the access phase: its aggregator, its
+/// pieces and its tracing identity — the pre-allocated window span id
+/// `wid` (0 while tracing is off) and the owning aggregator's collective
+/// span `parent`.
+struct Window<'p> {
+    a: usize,
+    /// World rank the window's spans land on. Domains past the group size
+    /// are *virtual* aggregators (see [`AccessSplit::attribute`]); their
+    /// spans land on the last real rank's timeline rather than a phantom
+    /// one.
+    w: usize,
     round: usize,
+    pieces: &'p [Piece],
+    /// Payload bytes of all pieces.
+    bytes: u64,
+    extents: Option<&'p [(u64, u64)]>,
     wid: u64,
     parent: u64,
 }
 
-/// Allocate the trace identity for window `(a, round)`.
-fn win_trace(
-    events: &TraceLog,
-    tracing: bool,
-    round: usize,
-    coll_ids: &[u64],
-    a: usize,
-) -> WinTrace {
-    if !tracing {
-        return WinTrace::default();
+impl<'p> Window<'p> {
+    /// Window `(a, round)` of `plan`; `coll_ids` is empty while tracing is
+    /// off.
+    fn new(env: &CollEnv, plan: &'p Plan, coll_ids: &[u64], a: usize, round: usize) -> Window<'p> {
+        let pieces = plan.windows[a][round].as_slice();
+        Window {
+            a,
+            w: env.group.get(a).or(env.group.last()).copied().unwrap_or(0),
+            round,
+            pieces,
+            bytes: pieces.iter().map(|pc| pc.len).sum(),
+            extents: plan.extents(a, round),
+            wid: if coll_ids.is_empty() {
+                0
+            } else {
+                env.config.events.next_id()
+            },
+            parent: coll_ids.get(a).copied().unwrap_or(0),
+        }
     }
-    WinTrace {
-        round,
-        wid: events.next_id(),
-        parent: coll_ids.get(a).copied().unwrap_or(0),
-    }
-}
 
-/// World rank a window's spans are attributed to. Domains past the group
-/// size are *virtual* aggregators (see [`AccessSplit::attribute`]); their
-/// spans land on the last real rank's timeline rather than a phantom one.
-fn agg_world(env: &CollEnv, a: usize) -> usize {
-    env.group
-        .get(a)
-        .copied()
-        .unwrap_or_else(|| env.group.last().copied().unwrap_or(0))
+    /// A span on this window's timeline, tagged with its round.
+    fn span(&self, name: &'static str, begin: Time, end: Time) -> Span {
+        Span::new(self.w, layer::MPIO, name, begin.as_nanos(), end.as_nanos())
+            .with_arg("round", self.round as u64)
+    }
+
+    /// Charge the memcpy that assembles (writes) or scatters (reads) the
+    /// collective buffer, starting at `t`; returns when it is done.
+    fn pack(&self, env: &CollEnv, split: &mut AccessSplit, t: Time) -> Time {
+        let pack = env.config.cpu.pack(self.bytes as usize, 1.0);
+        split.pack[self.a] += pack.as_nanos();
+        if self.wid != 0 && pack > Time::ZERO {
+            env.config.events.record(
+                self.span("pack", t, t + pack)
+                    .with_parent(self.wid)
+                    .with_stage(stage::PACK),
+            );
+        }
+        t + pack
+    }
+
+    /// Close the window, busy from `start` (its data ready) to `done`
+    /// (durable on disk, or scattered to the ranks).
+    fn finish(&self, env: &CollEnv, split: &mut AccessSplit, start: Time, done: Time) {
+        split.windows += 1;
+        split.serial_busy[self.a] += (done - start).as_nanos();
+        if self.wid != 0 {
+            env.config.events.record(
+                self.span("window", start, done)
+                    .with_id(self.wid)
+                    .with_parent(self.parent)
+                    .with_arg("agg", self.a as u64)
+                    .with_arg("bytes", self.bytes),
+            );
+        }
+    }
 }
 
 /// Emit each rank's whole-collective span `[t0, t_end]` — the region
@@ -568,7 +569,6 @@ fn agg_world(env: &CollEnv, a: usize) -> usize {
 /// closes the core → mpio link of the id chain.
 fn record_coll_spans(
     env: &CollEnv,
-    events: &TraceLog,
     name: &'static str,
     t0: Time,
     t_end: Time,
@@ -579,7 +579,7 @@ fn record_coll_spans(
         return;
     }
     for (r, &w) in env.group.iter().enumerate() {
-        events.record(
+        env.config.events.record(
             Span::new(w, layer::MPIO, name, t0.as_nanos(), t_end.as_nanos())
                 .with_id(coll_ids.get(r).copied().unwrap_or(0))
                 .with_parent(ids.get(r).copied().unwrap_or(0)),
@@ -587,7 +587,7 @@ fn record_coll_spans(
     }
 }
 
-// ---- the two phases -----------------------------------------------------------
+// ---- the round scheduler ------------------------------------------------------
 
 /// Collective write: the finish-closure body. `reqs[r]` is rank `r`'s
 /// `(runs, packed data)`, `ids[r]` the trace id that rode rank `r`'s
@@ -605,244 +605,232 @@ pub fn write_all(
     reqs: &[(Vec<Run>, &[u8])],
     ids: &[u64],
 ) -> MpioResult<Time> {
+    let runs: Vec<&[Run]> = reqs.iter().map(|(r, _)| r.as_slice()).collect();
+    schedule(env, file, p, &runs, ids, Access::Write(reqs))
+}
+
+/// Collective read: the finish-closure body. `reqs[r]` is rank `r`'s run
+/// list. Returns each rank's data (packed in run order) and the completion
+/// time. Faults are handled as in [`write_all`].
+pub fn read_all(
+    env: &CollEnv,
+    file: &PfsFile,
+    p: &TwoPhaseParams,
+    reqs: &[Vec<Run>],
+    ids: &[u64],
+) -> MpioResult<(Vec<Vec<u8>>, Time)> {
+    let mut outs: Vec<Vec<u8>> = reqs
+        .iter()
+        .map(|r| vec![0u8; runs_total(r) as usize])
+        .collect();
+    let runs: Vec<&[Run]> = reqs.iter().map(Vec::as_slice).collect();
+    let t = schedule(env, file, p, &runs, ids, Access::Read(&mut outs))?;
+    Ok((outs, t))
+}
+
+/// The access phase of one collective, with the buffers it works on.
+enum Access<'a, 'd> {
+    /// Assemble each window from the ranks' packed data (`reqs[r]` is
+    /// rank `r`'s `(runs, data)`) and write it.
+    Write(&'a [(Vec<Run>, &'d [u8])]),
+    /// Read each window and scatter it into the ranks' packed outputs.
+    Read(&'a mut [Vec<u8>]),
+}
+
+/// The one round scheduler behind both directions — ROMIO's loop of
+/// exchange and access rounds. Aggregators walk their windows round by
+/// round, round-robin across aggregators, so concurrent requests reach the
+/// shared server queues interleaved in time order. That order is the same
+/// whatever the pipeline hint, which keeps the file bytes independent of it.
+///
+/// The pipeline choice (`pnc_cb_pipeline` with at least two rounds) sets
+/// exactly two things:
+///
+/// * **Exchange batches.** Pipelined, each round is its own batch and every
+///   aggregator holds two collective buffers: batch `b` may ship once batch
+///   `b-1` has drained the wire and the buffer batch `b-2` used is free.
+///   Serial, one batch holds every round — a single alltoallv. A write
+///   ships a batch before its windows, a read after them.
+/// * **When an aggregator advances.** Pipelined, at NIC handoff: the
+///   bounded server queue is the backpressure, not the platter. Serial,
+///   once the window is durable on disk.
+///
+/// Offset lists are exchanged up front by reads (they are the requests)
+/// and by pipelined writes (which need them to plan the rounds); a serial
+/// write's offset lists ride along with its one data batch.
+fn schedule(
+    env: &CollEnv,
+    file: &PfsFile,
+    p: &TwoPhaseParams,
+    runs: &[&[Run]],
+    ids: &[u64],
+    mut access: Access,
+) -> MpioResult<Time> {
     let n = env.size();
+    let write = matches!(access, Access::Write(_));
     let policy = RetryPolicy::default();
-    let profile = env.config.profile.clone();
-    let events = env.config.events.clone();
+    let profile = &env.config.profile;
+    let events = &env.config.events;
     let tracing = events.is_enabled();
     let coll_ids: Vec<u64> = if tracing {
         env.group.iter().map(|_| events.next_id()).collect()
     } else {
         Vec::new()
     };
-    let total: u64 = reqs.iter().map(|(r, _)| runs_total(r)).sum();
+    let total: u64 = runs.iter().map(|r| runs_total(r)).sum();
     if total == 0 {
         return Ok(env.sync_phase(Phase::Metadata, env.config.network.barrier(n)));
     }
-    let gmin = reqs
-        .iter()
-        .filter_map(|(r, _)| r.first().map(|&(o, _)| o))
-        .min()
-        .unwrap();
-    let gmax = reqs
-        .iter()
-        .filter_map(|(r, _)| r.last().map(|&(o, l)| o + l))
-        .max()
-        .unwrap();
+    let nonempty = "a nonzero total has a run";
+    let gmin = runs.iter().filter_map(|r| r.first()).map(|&(o, _)| o);
+    let gmax = runs.iter().filter_map(|r| r.last()).map(|&(o, l)| o + l);
     let naggs = p.naggs(n, total);
-
-    profile.record_twophase(|t| {
-        t.collective_writes += 1;
-        t.cb_nodes = naggs as u64;
-    });
-
-    // Pieces are gathered first in one offset-ordered pass; the windows
-    // are then timed in round-robin order across aggregators, so their
-    // concurrent requests reach the shared server queues interleaved in
-    // time order — identically in both engines, which is what keeps the
-    // produced file bytes independent of the pipeline hint.
-    let all_runs: Vec<Vec<Run>> = reqs.iter().map(|(r, _)| r.clone()).collect();
-    let span_stripes = (gmax - 1) / p.stripe - gmin / p.stripe + 1;
-    let affine = p.affinity && span_stripes <= AFFINE_SPAN_LIMIT;
-    let (windows, extents) = if affine {
-        let plan = gather_affine_windows(
-            &all_runs,
-            gmin,
-            gmax,
-            naggs,
-            p.io_servers,
-            p.stripe,
-            p.cb_buffer_size,
-        );
-        profile.record_twophase(|t| t.file_domains += plan.naggs_eff as u64);
-        (plan.windows, Some(plan.extents))
-    } else {
-        let domains = file_domains(gmin, gmax, naggs, p.stripe);
-        profile.record_twophase(|t| t.file_domains += domains.len() as u64);
-        (gather_windows(&all_runs, &domains, p.cb_buffer_size), None)
-    };
-    let window_extents = |a: usize, j: usize| -> Option<&[(u64, u64)]> {
-        extents.as_ref().map(|e| e[a][j].as_slice())
-    };
-    let rounds = windows.iter().map(Vec::len).max().unwrap_or(0);
-    let mut split = AccessSplit::new(windows.len());
-
-    // With fewer than two rounds there is nothing to overlap, so the
-    // pipelined engine would only pay its extra offset exchange; fall back
-    // to the serial timing.
-    if !p.pipeline || rounds < 2 {
-        // Serial engine (`pnc_cb_pipeline=disable`): ONE monolithic
-        // alltoallv models offset lists and data moving together up front,
-        // charged whole to the data-exchange phase; every disk window is
-        // timed after it, waiting for durability. Exchange and disk time
-        // add, and the server NIC stage adds to the disk stage too.
-        let wire = monolithic_wire(&windows, n);
-        profile.record_twophase(|t| t.exchange_wire_bytes += wire.total);
-        let t0 = env.sync_phase(
-            Phase::DataExchange,
-            env.config
-                .network
-                .alltoallv(wire.max_send as usize, wire.max_recv as usize, n),
-        );
-        let mut t_agg = vec![t0; windows.len()];
-        let access = (|| -> MpioResult<()> {
-            for j in 0..rounds {
-                for (a, agg_windows) in windows.iter().enumerate() {
-                    let Some(pieces) = agg_windows.get(j) else {
-                        continue;
-                    };
-                    let wt = win_trace(&events, tracing, j, &coll_ids, a);
-                    let (_, durable) = write_window(
-                        env,
-                        file,
-                        &policy,
-                        t_agg[a],
-                        a,
-                        pieces,
-                        reqs,
-                        &mut split,
-                        window_extents(a, j),
-                        true,
-                        wt,
-                    )?;
-                    t_agg[a] = durable;
-                }
-            }
-            Ok(())
-        })();
-        let t_end = t_agg.iter().copied().fold(t0, Time::max);
-        record_coll_spans(env, &events, "coll_write", t0, t_end, ids, &coll_ids);
-        return match access {
-            Ok(()) => {
-                split.attribute(&profile, env, t_end, &t_agg, Phase::Wait);
-                env.set_all(t_end);
-                Ok(t_end)
-            }
-            Err(e) => {
-                // Synchronize the clocks even on failure: no rank may be
-                // left behind a collective, successful or not.
-                env.set_all(t_end);
-                Err(e)
-            }
-        };
-    }
-
-    // Pipelined engine: offset lists are exchanged up front (small) so the
-    // rounds can be planned; each round then ships only the bytes landing
-    // in that round's windows. With two collective buffers per aggregator,
-    // round j's exchange may start as soon as round j-1's exchange has
-    // drained AND round j-2's disk pass has freed its buffer, so
-    // communication genuinely hides disk time (and vice versa).
-    let meta_bytes = all_runs.iter().map(|r| r.len() * 16).max().unwrap_or(0);
-    let entry = env.sync_phase(
-        Phase::OffsetExchange,
-        env.config.network.alltoallv(meta_bytes, meta_bytes, n),
+    // Reads keep contiguous domains: the affine layout exists to give each
+    // server a single *write* stream; a read window's spanning read is
+    // already one large request per domain.
+    let plan = Plan::new(
+        runs,
+        gmin.min().expect(nonempty),
+        gmax.max().expect(nonempty),
+        naggs,
+        p,
+        write && p.affinity,
     );
-    let wire = round_wire(&windows, n, rounds);
+    let windows = &plan.windows;
+    let rounds = plan.rounds();
+    // With fewer than two rounds there is nothing to overlap.
+    let per_round = p.pipeline && rounds >= 2;
+    let batches = if per_round { rounds } else { 1 };
+    let batch = |b: usize| if per_round { b..b + 1 } else { 0..rounds };
+    let wires: Vec<Wire> = (0..batches)
+        .map(|b| batch_wire(windows, n, batch(b)))
+        .collect();
     profile.record_twophase(|t| {
-        t.exchange_wire_bytes += wire.iter().map(|w| w.total).sum::<u64>();
-        t.pipelined_rounds += rounds as u64;
+        if write {
+            t.collective_writes += 1;
+        } else {
+            t.collective_reads += 1;
+        }
+        t.cb_nodes = naggs as u64;
+        t.file_domains += plan.domains as u64;
+        t.exchange_wire_bytes += wires.iter().map(|w| w.total).sum::<u64>();
+        if per_round {
+            t.pipelined_rounds += rounds as u64;
+        }
     });
 
-    let mut t_agg = vec![entry; windows.len()];
-    let mut x_done = vec![entry; rounds]; // per-round exchange completion
-    let mut d_done = vec![entry; rounds]; // per-round handoff completion (all aggs)
-    let mut durable_max = entry; // slowest disk among all windows
-    let mut costs: Vec<Time> = Vec::with_capacity(rounds);
-    let access = (|| -> MpioResult<()> {
-        for j in 0..rounds {
-            let mut xs = if j > 0 { x_done[j - 1] } else { entry };
-            if j >= 2 {
-                // Double buffering: the buffer receiving round j is the one
-                // round j-2 handed off to the servers — with the dual-
-                // resource servers the collective buffer is free once the
-                // server NIC owns the bytes; the bounded admission queue is
-                // the backpressure, not the platter.
-                xs = xs.max(d_done[j - 2]);
-            }
-            let cost = env.alltoallv_cost(
-                wire[j].max_send as usize,
-                wire[j].max_recv as usize,
-                wire[j].total,
-            );
-            costs.push(cost);
-            x_done[j] = xs + cost;
-            let mut dmax = entry;
-            for (a, agg_windows) in windows.iter().enumerate() {
-                let Some(pieces) = agg_windows.get(j) else {
-                    continue;
-                };
-                // Aggregator a starts round j once its previous window is
-                // handed off and round j's data has arrived; time spent
-                // waiting on the wire is the exchange cost that survives
-                // on this aggregator's critical path.
-                let wt = win_trace(&events, tracing, j, &coll_ids, a);
-                let ready = t_agg[a].max(x_done[j]);
-                split.exchange[a] += (ready - t_agg[a]).as_nanos();
-                if tracing && ready > t_agg[a] {
-                    events.record(
-                        Span::new(
-                            agg_world(env, a),
-                            layer::MPIO,
-                            "exchange_wait",
-                            t_agg[a].as_nanos(),
-                            ready.as_nanos(),
-                        )
-                        .with_parent(wt.wid)
-                        .with_stage(stage::EXCHANGE)
-                        .with_arg("round", j as u64),
-                    );
+    let offsets = if write && !per_round {
+        Time::ZERO
+    } else {
+        let meta = runs.iter().map(|r| r.len() * 16).max().unwrap_or(0);
+        env.config.network.alltoallv(meta, meta, n)
+    };
+    let t0 = env.sync_phase(Phase::OffsetExchange, offsets);
+
+    let mut t_agg = vec![t0; windows.len()];
+    let mut x_done = vec![t0; batches]; // per-batch exchange completion
+    let mut d_done = vec![t0; batches]; // per-batch advance of the last aggregator
+    let mut durable = t0; // slowest disk among all windows
+    let mut costs: Vec<Time> = Vec::with_capacity(batches);
+    let mut ship = |b: usize| {
+        let w = wires[b];
+        let cost = env.alltoallv_cost(w.max_send as usize, w.max_recv as usize, w.total);
+        costs.push(cost);
+        cost
+    };
+    let mut split = AccessSplit::new(windows.len());
+    let result = (|| -> MpioResult<()> {
+        for b in 0..batches {
+            let back = |v: &[Time], k: usize| if b >= k { v[b - k] } else { t0 };
+            // Double buffering: batch b refills the collective buffer batch
+            // b-2 used. A write batch ships once batch b-1 has drained the
+            // wire and batch b-2's windows are handed off, and its windows
+            // wait for it; a read's windows wait for batch b-2 to ship back.
+            let gate = if write {
+                x_done[b] = back(&x_done, 1).max(back(&d_done, 2)) + ship(b);
+                x_done[b]
+            } else {
+                back(&x_done, 2)
+            };
+            let mut dmax = t0;
+            for j in batch(b) {
+                for a in 0..windows.len() {
+                    if j >= windows[a].len() {
+                        continue;
+                    }
+                    let win = Window::new(env, &plan, &coll_ids, a, j);
+                    // Ambient context: the pfs ServiceEngine stages and any
+                    // retry backoffs taken on this window's behalf parent
+                    // themselves to the window span.
+                    let _ctx = (win.wid != 0).then(|| TraceCtx::enter(win.w, win.wid));
+                    // Time spent waiting on the wire is the exchange cost
+                    // that survives on this aggregator's critical path.
+                    let ready = t_agg[a].max(gate);
+                    split.exchange[a] += (ready - t_agg[a]).as_nanos();
+                    if win.wid != 0 && ready > t_agg[a] {
+                        events.record(
+                            win.span("exchange_wait", t_agg[a], ready)
+                                .with_parent(win.wid)
+                                .with_stage(stage::EXCHANGE),
+                        );
+                    }
+                    let (advance, done) = match &mut access {
+                        Access::Write(reqs) => write_window(
+                            env, file, &policy, ready, &win, reqs, &mut split, !per_round,
+                        )?,
+                        Access::Read(outs) => {
+                            let t = read_window(env, file, &policy, ready, &win, outs, &mut split)?;
+                            (t, t)
+                        }
+                    };
+                    win.finish(env, &mut split, ready, done);
+                    t_agg[a] = advance;
+                    durable = durable.max(done);
+                    dmax = dmax.max(advance);
                 }
-                let (handoff, durable) = write_window(
-                    env,
-                    file,
-                    &policy,
-                    ready,
-                    a,
-                    pieces,
-                    reqs,
-                    &mut split,
-                    window_extents(a, j),
-                    false,
-                    wt,
-                )?;
-                t_agg[a] = handoff;
-                durable_max = durable_max.max(durable);
-                dmax = dmax.max(handoff);
             }
-            d_done[j] = dmax;
+            d_done[b] = dmax;
+            if !write {
+                // A read batch ships once every aggregator has read its
+                // windows and the previous batch has drained the wire.
+                x_done[b] = dmax.max(back(&x_done, 1)) + ship(b);
+            }
         }
         Ok(())
     })();
-    // The collective completes when the last exchange has drained, the
-    // last window is handed off, AND every server's disk has the bytes —
-    // write_all promises durability at return, the pipeline only moves the
+    // The collective completes when the last batch has shipped, the last
+    // window is handed off, AND every server's disk has the bytes:
+    // write_all promises durability at return, pipelining only moves the
     // disk wait off each window's critical path.
-    let t_end = t_agg.iter().copied().fold(
-        x_done.last().copied().unwrap_or(entry).max(durable_max),
-        Time::max,
-    );
-    record_coll_spans(env, &events, "coll_write", entry, t_end, ids, &coll_ids);
-    match access {
-        Ok(()) => {
-            split.record_overlap(&profile, &costs, entry, t_end, &t_agg);
-            split.attribute(&profile, env, t_end, &t_agg, Phase::Wait);
-            env.set_all(t_end);
-            Ok(t_end)
-        }
-        Err(e) => {
-            env.set_all(t_end);
-            Err(e)
-        }
+    let t_end = t_agg
+        .iter()
+        .copied()
+        .fold(x_done[batches - 1].max(durable), Time::max);
+    let name = if write { "coll_write" } else { "coll_read" };
+    record_coll_spans(env, name, t0, t_end, ids, &coll_ids);
+    if result.is_ok() {
+        split.record_overlap(profile, &costs, t0, t_end, &t_agg);
+        // A write's tail is idle behind the slowest aggregator; a read's
+        // is spent shipping the last batches back.
+        let tail = if write {
+            Phase::Wait
+        } else {
+            Phase::DataExchange
+        };
+        split.attribute(profile, env, t_end, &t_agg, tail);
     }
+    // Synchronize the clocks even on failure: no rank may be left behind
+    // a collective, successful or not.
+    env.set_all(t_end);
+    result.map(|()| t_end)
 }
 
-/// Time one write window on aggregator `a` starting at `t_start`:
-/// collective-buffer assembly (memcpy), any read-modify-write reads, then
-/// the window's write(s). Returns `(advance, durable)`: `advance` is the
-/// time the aggregator may move on — the server hand-off when
-/// `wait_durable` is false (pipelined engine), the disk completion when
-/// true (serial engine) — and `durable` is always the disk completion.
+/// Time one write window starting at `t_start`: collective-buffer
+/// assembly (memcpy), any read-modify-write reads, then the window's
+/// write(s). Returns `(advance, durable)`: `advance` is the time the
+/// aggregator may move on — the server hand-off when `wait_durable` is
+/// false (pipelined), the disk completion when true (serial) — and
+/// `durable` is always the disk completion.
 ///
 /// With `extents` (server-affine windows) the window may touch several
 /// disjoint owned stripe ranges: fully covered spans are written as-is,
@@ -855,38 +843,15 @@ fn write_window(
     file: &PfsFile,
     policy: &RetryPolicy,
     t_start: Time,
-    a: usize,
-    pieces: &[Piece],
+    win: &Window,
     reqs: &[(Vec<Run>, &[u8])],
     split: &mut AccessSplit,
-    extents: Option<&[(u64, u64)]>,
     wait_durable: bool,
-    wt: WinTrace,
 ) -> MpioResult<(Time, Time)> {
-    let events = &env.config.events;
-    let tracing = wt.wid != 0 && events.is_enabled();
-    let w = agg_world(env, a);
-    // Ambient context: the pfs ServiceEngine stages and any retry backoffs
-    // taken on this window's behalf parent themselves to the window span.
-    let _ctx = tracing.then(|| TraceCtx::enter(w, wt.wid));
-    let mut t_a = t_start;
-    split.windows += 1;
-    let piece_bytes: u64 = pieces.iter().map(|pc| pc.len).sum();
-    // Assembling the collective buffer is memcpy work.
-    let pack = env.config.cpu.pack(piece_bytes as usize, 1.0);
-    t_a += pack;
-    split.pack[a] += pack.as_nanos();
-    if tracing && pack > Time::ZERO {
-        events.record(
-            Span::new(w, layer::MPIO, "pack", t_start.as_nanos(), t_a.as_nanos())
-                .with_parent(wt.wid)
-                .with_stage(stage::PACK)
-                .with_arg("round", wt.round as u64),
-        );
-    }
-
+    let (a, pieces) = (win.a, win.pieces);
+    let mut t_a = win.pack(env, split, t_start);
     let coverage = merge_coverage(pieces.iter().map(|pc| (pc.off, pc.len)).collect());
-    let completion: WriteCompletion = match extents {
+    let completion: WriteCompletion = match win.extents {
         None if coverage.len() == 1 => {
             // Fully contiguous: assemble and write once.
             let (clo, clen) = coverage[0];
@@ -937,7 +902,7 @@ fn write_window(
                     t_a = recover::read_at(file, policy, t_a, blo, &mut buf)?;
                     split.read[a] += (t_a - before).as_nanos();
                 }
-                overlay_within(&mut buf, blo, pieces, reqs);
+                overlay(&mut buf, blo, pieces, reqs);
                 runs.push((blo, bhi - blo));
                 data.extend_from_slice(&buf);
             }
@@ -953,31 +918,15 @@ fn write_window(
         completion.handoff
     };
     split.write[a] += (advance - t_a).as_nanos();
-    split.serial_busy[a] += (completion.durable - t_start).as_nanos();
-    if tracing {
-        events.record(
-            Span::new(
-                w,
-                layer::MPIO,
-                "window",
-                t_start.as_nanos(),
-                completion.durable.as_nanos(),
-            )
-            .with_id(wt.wid)
-            .with_parent(wt.parent)
-            .with_arg("round", wt.round as u64)
-            .with_arg("agg", a as u64)
-            .with_arg("bytes", piece_bytes),
-        );
-    }
     Ok((advance, completion.durable))
 }
 
-/// Copy pieces lying inside `[base, base + buf.len())` from their ranks'
-/// packed data into `buf`, in piece (= rank) order. Affine windows use
-/// this per covered span — each piece sits wholly inside exactly one span,
-/// so a containment filter is enough.
-fn overlay_within(buf: &mut [u8], base: u64, pieces: &[Piece], reqs: &[(Vec<Run>, &[u8])]) {
+/// Copy the pieces lying inside `[base, base + buf.len())` from their
+/// ranks' packed data into `buf`. Pieces are applied in rank order, so
+/// overlapping writes resolve deterministically (highest rank wins). An
+/// affine window calls this once per covered span; each piece sits wholly
+/// inside exactly one span, so a containment filter is enough.
+fn overlay(buf: &mut [u8], base: u64, pieces: &[Piece], reqs: &[(Vec<Run>, &[u8])]) {
     let hi = base + buf.len() as u64;
     for pc in pieces {
         if pc.off < base || pc.off + pc.len > hi {
@@ -989,22 +938,53 @@ fn overlay_within(buf: &mut [u8], base: u64, pieces: &[Piece], reqs: &[(Vec<Run>
     }
 }
 
+/// Time one read window starting at `t_start`: one spanning read covers
+/// every piece in the window (data sieving at the aggregator), then the
+/// pieces are scattered into the requesting ranks' output buffers
+/// (memcpy). Returns the aggregator's completion time.
+fn read_window(
+    env: &CollEnv,
+    file: &PfsFile,
+    policy: &RetryPolicy,
+    t_start: Time,
+    win: &Window,
+    outs: &mut [Vec<u8>],
+    split: &mut AccessSplit,
+) -> MpioResult<Time> {
+    let nonempty = "planned windows hold at least one piece";
+    let clo = win.pieces.iter().map(|pc| pc.off).min().expect(nonempty);
+    let cend = win
+        .pieces
+        .iter()
+        .map(|pc| pc.off + pc.len)
+        .max()
+        .expect(nonempty);
+    let mut buf = vec![0u8; (cend - clo) as usize];
+    let t_read = recover::read_at(file, policy, t_start, clo, &mut buf)?;
+    split.read[win.a] += (t_read - t_start).as_nanos();
+    for pc in win.pieces {
+        let lo = (pc.off - clo) as usize;
+        outs[pc.rank][pc.src_pos as usize..(pc.src_pos + pc.len) as usize]
+            .copy_from_slice(&buf[lo..lo + pc.len as usize]);
+    }
+    Ok(win.pack(env, split, t_read))
+}
+
 /// Per-aggregator breakdown of the access phase, accumulated along each
-/// aggregator's own timeline, plus engine window counters.
+/// aggregator's own timeline, plus window counters.
 struct AccessSplit {
     pack: Vec<u64>,
     write: Vec<u64>,
     read: Vec<u64>,
-    /// Pipelined engine only: time an aggregator spent *waiting on the
-    /// wire* for its round's data (the exchange cost that was not hidden
-    /// behind disk). Serial engine leaves this zero — its exchange is
-    /// charged whole by `sync_phase` before the access loop.
+    /// Time an aggregator spent *waiting on the wire* — for its batch's
+    /// data (writes) or for a collective buffer to drain (reads): the
+    /// exchange cost that was not hidden behind disk.
     exchange: Vec<u64>,
     /// What each window would cost run serially (to durability, from the
     /// moment its data was ready): the baseline [`Self::record_overlap`]
     /// compares the overlapped makespan against. Kept apart from the
-    /// attribution splits above, which charge only hand-off deltas in the
-    /// pipelined engine.
+    /// attribution splits above, which charge only hand-off deltas when
+    /// pipelined.
     serial_busy: Vec<u64>,
     windows: u64,
     rmw: u64,
@@ -1023,11 +1003,11 @@ impl AccessSplit {
         }
     }
 
-    /// Record how much the pipelined rounds saved: the difference between
-    /// running this collective's exchange rounds and the critical
+    /// Record how much the pipelined batches saved: the difference between
+    /// running this collective's exchange batches and the critical
     /// aggregator's windows back to back (the serial schedule of the same
     /// rounds, each window waiting for durability) and the overlapped
-    /// makespan actually achieved.
+    /// makespan actually achieved. One batch saves nothing by construction.
     fn record_overlap(
         &self,
         profile: &Profile,
@@ -1050,10 +1030,10 @@ impl AccessSplit {
     /// `set_all`) to profile phases so per-rank sums stay exact:
     ///
     /// * aggregator `a` gets its own pack/write/read split, its unhidden
-    ///   exchange waits as [`Phase::DataExchange`] (pipelined engine), and
-    ///   `trailing` (usually [`Phase::Wait`]) for `t_end - t_agg[a]` —
-    ///   idle behind the slowest aggregator, or, for pipelined reads,
-    ///   still shipping rounds back;
+    ///   exchange waits as [`Phase::DataExchange`], and `trailing` for
+    ///   `t_end - t_agg[a]` — idle behind the slowest aggregator
+    ///   ([`Phase::Wait`], writes) or shipping the last batches back
+    ///   ([`Phase::DataExchange`], reads);
     /// * a non-aggregator rank spends the same wall of virtual time blocked
     ///   on the aggregators, so it is credited with the *critical*
     ///   aggregator's split — the one that actually determines `t_end` —
@@ -1098,291 +1078,6 @@ impl AccessSplit {
             profile.record_phase(w, trailing, (t_end - t_agg[crit]).as_nanos());
         }
     }
-}
-
-/// Pre-gather every aggregator's windows' piece lists: one offset-ordered
-/// pass with per-rank cursors. `result[a][j]` holds the pieces of window
-/// `j` within domain `a` (empty windows are dropped).
-fn gather_windows(
-    all_runs: &[Vec<Run>],
-    domains: &[(u64, u64)],
-    cb_buffer_size: usize,
-) -> Vec<Vec<Vec<Piece>>> {
-    let mut cursors = vec![Cursor::default(); all_runs.len()];
-    let mut out = Vec::with_capacity(domains.len());
-    let cb = cb_buffer_size as u64;
-    for &(dlo, dhi) in domains {
-        let mut agg_windows = Vec::new();
-        let mut wlo = dlo;
-        while wlo < dhi {
-            // Window boundaries at absolute multiples of the buffer size,
-            // which (for the default hints) are file-system block aligned.
-            let whi = ((wlo / cb + 1) * cb).min(dhi);
-            let mut pieces: Vec<Piece> = Vec::new();
-            for (r, runs) in all_runs.iter().enumerate() {
-                take_pieces(runs, &mut cursors[r], whi, r, &mut pieces);
-            }
-            wlo = whi;
-            if !pieces.is_empty() {
-                agg_windows.push(pieces);
-            }
-        }
-        out.push(agg_windows);
-    }
-    out
-}
-
-/// Copy each piece's bytes from its rank's packed data into `buf` (which
-/// starts at file offset `base`). Pieces are applied in rank order, so
-/// overlapping writes resolve deterministically (highest rank wins).
-fn overlay(buf: &mut [u8], base: u64, pieces: &[Piece], reqs: &[(Vec<Run>, &[u8])]) {
-    for pc in pieces {
-        let src = &reqs[pc.rank].1[pc.src_pos as usize..(pc.src_pos + pc.len) as usize];
-        let lo = (pc.off - base) as usize;
-        buf[lo..lo + pc.len as usize].copy_from_slice(src);
-    }
-}
-
-/// Collective read: the finish-closure body. `reqs[r]` is rank `r`'s run
-/// list. Returns each rank's data (packed in run order) and the completion
-/// time. Faults are handled as in [`write_all`].
-pub fn read_all(
-    env: &CollEnv,
-    file: &PfsFile,
-    p: &TwoPhaseParams,
-    reqs: &[Vec<Run>],
-    ids: &[u64],
-) -> MpioResult<(Vec<Vec<u8>>, Time)> {
-    let n = env.size();
-    let policy = RetryPolicy::default();
-    let profile = env.config.profile.clone();
-    let events = env.config.events.clone();
-    let tracing = events.is_enabled();
-    let coll_ids: Vec<u64> = if tracing {
-        env.group.iter().map(|_| events.next_id()).collect()
-    } else {
-        Vec::new()
-    };
-    let totals: Vec<u64> = reqs.iter().map(|r| runs_total(r)).collect();
-    let grand: u64 = totals.iter().sum();
-    let mut outs: Vec<Vec<u8>> = totals.iter().map(|&t| vec![0u8; t as usize]).collect();
-    if grand == 0 {
-        let t = env.sync_phase(Phase::Metadata, env.config.network.barrier(n));
-        return Ok((outs, t));
-    }
-    let gmin = reqs
-        .iter()
-        .filter_map(|r| r.first().map(|&(o, _)| o))
-        .min()
-        .unwrap();
-    let gmax = reqs
-        .iter()
-        .filter_map(|r| r.last().map(|&(o, l)| o + l))
-        .max()
-        .unwrap();
-    // Reads keep contiguous domains: the affine layout exists to give each
-    // server a single *write* stream; a read window's spanning read is
-    // already one large request per domain.
-    let naggs = p.naggs(n, grand);
-    let domains = file_domains(gmin, gmax, naggs, p.stripe);
-
-    profile.record_twophase(|t| {
-        t.collective_reads += 1;
-        t.cb_nodes = naggs as u64;
-        t.file_domains += domains.len() as u64;
-    });
-
-    // Offset lists are exchanged up front (small).
-    let meta_bytes = reqs.iter().map(|r| r.len() * 16).max().unwrap_or(0);
-    let t0 = env.sync_phase(
-        Phase::OffsetExchange,
-        env.config.network.alltoallv(meta_bytes, meta_bytes, n),
-    );
-
-    // Aggregators read their domains concurrently (round-robin timing, as
-    // in `write_all`).
-    let windows = gather_windows(reqs, &domains, p.cb_buffer_size);
-    let rounds = windows.iter().map(Vec::len).max().unwrap_or(0);
-    let mut t_agg = vec![t0; windows.len()];
-    let mut split = AccessSplit::new(windows.len());
-
-    // A single round has nothing to overlap: fall back to serial timing
-    // (identical for one round), as in `write_all`.
-    if !p.pipeline || rounds < 2 {
-        // Serial engine: every window is read first, then ONE monolithic
-        // alltoallv ships all the data back (local shares stay put).
-        let access = (|| -> MpioResult<()> {
-            for j in 0..rounds {
-                for (a, agg_windows) in windows.iter().enumerate() {
-                    let Some(pieces) = agg_windows.get(j) else {
-                        continue;
-                    };
-                    let wt = win_trace(&events, tracing, j, &coll_ids, a);
-                    t_agg[a] = read_window(
-                        env, file, &policy, t_agg[a], a, pieces, &mut outs, &mut split, wt,
-                    )?;
-                }
-            }
-            Ok(())
-        })();
-        let t_end = t_agg.iter().copied().fold(t0, Time::max);
-        if let Err(e) = access {
-            record_coll_spans(env, &events, "coll_read", t0, t_end, ids, &coll_ids);
-            env.set_all(t_end);
-            return Err(e);
-        }
-        split.attribute(&profile, env, t_end, &t_agg, Phase::Wait);
-
-        let ship = exchange_cost(env, reqs, &totals, &domains);
-        if profile.is_enabled() {
-            for &w in env.group.iter() {
-                profile.record_phase(w, Phase::DataExchange, ship.as_nanos());
-            }
-        }
-        let t_final = t_end + ship;
-        record_coll_spans(env, &events, "coll_read", t0, t_final, ids, &coll_ids);
-        env.set_all(t_final);
-        return Ok((outs, t_final));
-    }
-
-    // Pipelined engine: round j ships back to the requesting ranks while
-    // round j+1 is still being read from disk.
-    let wire = round_wire(&windows, n, rounds);
-    profile.record_twophase(|t| {
-        t.exchange_wire_bytes += wire.iter().map(|w| w.total).sum::<u64>();
-        t.pipelined_rounds += rounds as u64;
-    });
-    let mut x_done = vec![t0; rounds]; // per-round ship completion
-    let mut costs: Vec<Time> = Vec::with_capacity(rounds);
-    let access = (|| -> MpioResult<()> {
-        for j in 0..rounds {
-            let mut dmax = t0;
-            for (a, agg_windows) in windows.iter().enumerate() {
-                let Some(pieces) = agg_windows.get(j) else {
-                    continue;
-                };
-                // Double buffering: round j refills the buffer round j-2
-                // shipped; waiting for that ship to drain is wire time on
-                // this aggregator's critical path.
-                let wt = win_trace(&events, tracing, j, &coll_ids, a);
-                let ready = if j >= 2 {
-                    t_agg[a].max(x_done[j - 2])
-                } else {
-                    t_agg[a]
-                };
-                split.exchange[a] += (ready - t_agg[a]).as_nanos();
-                if tracing && ready > t_agg[a] {
-                    events.record(
-                        Span::new(
-                            agg_world(env, a),
-                            layer::MPIO,
-                            "exchange_wait",
-                            t_agg[a].as_nanos(),
-                            ready.as_nanos(),
-                        )
-                        .with_parent(wt.wid)
-                        .with_stage(stage::EXCHANGE)
-                        .with_arg("round", j as u64),
-                    );
-                }
-                t_agg[a] = read_window(
-                    env, file, &policy, ready, a, pieces, &mut outs, &mut split, wt,
-                )?;
-                dmax = dmax.max(t_agg[a]);
-            }
-            // Round j ships once every aggregator's round-j read is done
-            // and the previous ship has drained the wire.
-            let xs = if j > 0 { dmax.max(x_done[j - 1]) } else { dmax };
-            let cost = env.alltoallv_cost(
-                wire[j].max_send as usize,
-                wire[j].max_recv as usize,
-                wire[j].total,
-            );
-            costs.push(cost);
-            x_done[j] = xs + cost;
-        }
-        Ok(())
-    })();
-    let t_final = t_agg
-        .iter()
-        .copied()
-        .fold(x_done.last().copied().unwrap_or(t0), Time::max);
-    record_coll_spans(env, &events, "coll_read", t0, t_final, ids, &coll_ids);
-    if let Err(e) = access {
-        env.set_all(t_final);
-        return Err(e);
-    }
-    split.record_overlap(&profile, &costs, t0, t_final, &t_agg);
-    // Each rank's trailing tail is spent shipping the last rounds back, so
-    // it is data-exchange time, not idle wait.
-    split.attribute(&profile, env, t_final, &t_agg, Phase::DataExchange);
-    env.set_all(t_final);
-    Ok((outs, t_final))
-}
-
-/// Time one read window on aggregator `a` starting at `t_start`: one
-/// spanning read covers every piece in the window (data sieving at the
-/// aggregator), then the pieces are scattered into the requesting ranks'
-/// output buffers (memcpy). Returns the aggregator's completion time.
-#[allow(clippy::too_many_arguments)]
-fn read_window(
-    env: &CollEnv,
-    file: &PfsFile,
-    policy: &RetryPolicy,
-    t_start: Time,
-    a: usize,
-    pieces: &[Piece],
-    outs: &mut [Vec<u8>],
-    split: &mut AccessSplit,
-    wt: WinTrace,
-) -> MpioResult<Time> {
-    let events = &env.config.events;
-    let tracing = wt.wid != 0 && events.is_enabled();
-    let w = agg_world(env, a);
-    let _ctx = tracing.then(|| TraceCtx::enter(w, wt.wid));
-    let mut t_a = t_start;
-    split.windows += 1;
-    let clo = pieces.iter().map(|pc| pc.off).min().unwrap();
-    let cend = pieces.iter().map(|pc| pc.off + pc.len).max().unwrap();
-    let mut buf = vec![0u8; (cend - clo) as usize];
-    let before = t_a;
-    t_a = recover::read_at(file, policy, t_a, clo, &mut buf)?;
-    split.read[a] += (t_a - before).as_nanos();
-    let piece_bytes: u64 = pieces.iter().map(|pc| pc.len).sum();
-    let pack = env.config.cpu.pack(piece_bytes as usize, 1.0);
-    if tracing && pack > Time::ZERO {
-        events.record(
-            Span::new(
-                w,
-                layer::MPIO,
-                "pack",
-                t_a.as_nanos(),
-                (t_a + pack).as_nanos(),
-            )
-            .with_parent(wt.wid)
-            .with_stage(stage::PACK)
-            .with_arg("round", wt.round as u64),
-        );
-    }
-    t_a += pack;
-    split.pack[a] += pack.as_nanos();
-    for pc in pieces {
-        let lo = (pc.off - clo) as usize;
-        outs[pc.rank][pc.src_pos as usize..(pc.src_pos + pc.len) as usize]
-            .copy_from_slice(&buf[lo..lo + pc.len as usize]);
-    }
-    split.serial_busy[a] += (t_a - t_start).as_nanos();
-    if tracing {
-        events.record(
-            Span::new(w, layer::MPIO, "window", t_start.as_nanos(), t_a.as_nanos())
-                .with_id(wt.wid)
-                .with_parent(wt.parent)
-                .with_arg("round", wt.round as u64)
-                .with_arg("agg", a as u64)
-                .with_arg("bytes", piece_bytes),
-        );
-    }
-    Ok(t_a)
 }
 
 #[cfg(test)]
@@ -1532,10 +1227,62 @@ mod tests {
     }
 
     #[test]
-    fn bytes_per_domain_splits_runs() {
-        let runs = vec![vec![(0u64, 100u64)], vec![(50, 100)]];
-        let domains = vec![(0u64, 100u64), (100, 200)];
-        assert_eq!(bytes_per_domain(&runs, &domains), vec![150, 50]);
+    fn batch_wire_counts_only_remote_pieces() {
+        // Two aggregators (= ranks 0 and 1), two rounds each: a piece that
+        // belongs to its window's aggregator moves by memcpy.
+        let pc = |off, len, rank| Piece {
+            off,
+            len,
+            rank,
+            src_pos: 0,
+        };
+        let windows = vec![
+            vec![vec![pc(0, 10, 0), pc(10, 5, 1)], vec![pc(20, 7, 2)]],
+            vec![vec![pc(100, 4, 0)], vec![pc(120, 3, 1), pc(123, 2, 2)]],
+        ];
+        let wire = |max_send, max_recv, total| Wire {
+            max_send,
+            max_recv,
+            total,
+        };
+        assert_eq!(batch_wire(&windows, 3, 0..1), wire(5, 5, 9));
+        assert_eq!(batch_wire(&windows, 3, 1..2), wire(9, 7, 9));
+        // One batch of both rounds: totals add, endpoints peak per batch.
+        assert_eq!(batch_wire(&windows, 3, 0..2), wire(9, 12, 18));
+        // Rounds past every aggregator's last window ship nothing.
+        assert_eq!(batch_wire(&windows, 3, 2..3), Wire::default());
+    }
+
+    #[test]
+    fn aggregator_selection() {
+        let p = |cb_nodes| TwoPhaseParams {
+            cb_buffer_size: 1 << 20,
+            cb_nodes,
+            io_servers: 12,
+            stripe: 1 << 16,
+            pipeline: true,
+            affinity: true,
+        };
+        // A cb_nodes hint is clamped to the communicator, never below one,
+        // and wins even over a collective too small to fill it.
+        assert_eq!(p(Some(2)).naggs(32, 1 << 30), 2);
+        assert_eq!(p(Some(64)).naggs(32, 1 << 30), 32);
+        assert_eq!(p(Some(2)).naggs(1, 1 << 30), 1);
+        assert_eq!(p(Some(8)).naggs(32, 1), 8);
+        // Unhinted: one aggregator stream per I/O server, capped by the
+        // ranks and by how many collective buffers the volume fills.
+        assert_eq!(p(None).naggs(32, 1 << 30), 12);
+        assert_eq!(p(None).naggs(4, 1 << 30), 4);
+        assert_eq!(p(None).naggs(32, 3 << 20), 3);
+        assert_eq!(p(None).naggs(32, (3 << 20) + 1), 4);
+        assert_eq!(p(None).naggs(32, 1), 1);
+        // Fewer servers than ranks: no per-node floor.
+        let two = TwoPhaseParams {
+            io_servers: 2,
+            ..p(None)
+        };
+        assert_eq!(two.naggs(32, 1 << 30), 2);
+        assert_eq!(two.naggs(4, 1 << 30), 2);
     }
 
     #[test]

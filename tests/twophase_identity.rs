@@ -1,9 +1,10 @@
-//! Property-based identity of the two collective engines: for arbitrary
-//! run lists, the pipelined round engine (`pnc_cb_pipeline=enable`) must
-//! leave exactly the same bytes in the file — and return exactly the same
-//! bytes to readers — as the serial exchange-then-access engine, at the
-//! MPI-IO layer and through PnetCDF's nonblocking `wait_all` path. Also
-//! exercises the request-parcel codec round-trip the engines share.
+//! Property-based identity of the two collective schedules: for arbitrary
+//! run lists, the pipelined rounds (`pnc_cb_pipeline=enable`) must leave
+//! exactly the same bytes in the file — and return exactly the same bytes
+//! to readers — as the serial exchange-then-access schedule, at the MPI-IO
+//! layer and through PnetCDF's nonblocking `wait_all` path. Also exercises
+//! the request-parcel codec round-trip both share, and pins the exact
+//! virtual clock of every schedule (`golden_virtual_clock`).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -198,4 +199,140 @@ fn wait_all_results_identical_across_engines() {
         let want: Vec<f32> = (0..PER_RANK).map(|j| (peer + j) as f32).collect();
         assert_eq!(got, &want, "rank {rank} read wrong values");
     }
+}
+
+/// One golden-clock case: which direction, which engine settings, and the
+/// exact virtual completion time plus two-phase counters it must produce.
+struct Golden {
+    name: &'static str,
+    write: bool,
+    cb_buffer: usize,
+    pipeline: bool,
+    affinity: bool,
+    /// Completion time of the collective on every rank, in nanoseconds.
+    nanos: u64,
+    windows: u64,
+    rmw_windows: u64,
+    exchange_wire_bytes: u64,
+    pipelined_rounds: u64,
+    overlap_saved_nanos: u64,
+}
+
+/// Rank `r`'s access: 14 short runs with holes between them (so windows
+/// read-modify-write) over the first seven 1 KiB stripes; rank 3 also
+/// covers the eighth stripe whole, which gives one fully covered window.
+fn golden_runs(r: u64) -> Vec<Run> {
+    let mut runs: Vec<Run> = (0..14).map(|k| (k * 512 + r * 100, 64)).collect();
+    if r == 3 {
+        runs.push((7168, 1024));
+    }
+    runs
+}
+
+/// Run one golden case on a fresh 4-rank `test_small` world and return
+/// `(completion nanos, twophase counters)`.
+fn golden_run(g: &Golden) -> (u64, hpc_sim::trace::TwophaseCounters) {
+    let cfg = SimConfig::test_small();
+    cfg.profile.set_enabled(true);
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let content: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+    pfs.create("g").import_bytes(&content);
+    let mut info = hints(g.cb_buffer, g.pipeline).with("cb_nodes", "4");
+    if !g.affinity {
+        info = info.with("pnc_cb_affinity", "disable");
+    }
+    let write = g.write;
+    let run = run_world(4, cfg.clone(), move |c| {
+        let f = MpiFile::open(c, &pfs, "g", OpenMode::ReadWrite, &info).unwrap();
+        c.barrier().unwrap();
+        if c.rank() == 0 {
+            c.config().profile.reset();
+        }
+        c.barrier().unwrap();
+        let t = c.now();
+        let runs = golden_runs(c.rank() as u64);
+        if write {
+            let data = data_for(&runs, c.rank() as u8);
+            f.write_runs_at_all(&runs, &data).unwrap();
+        } else {
+            let got = f.read_runs_at_all(&runs).unwrap();
+            let mut want = Vec::new();
+            for &(off, len) in &runs {
+                want.extend_from_slice(&content[off as usize..(off + len) as usize]);
+            }
+            assert_eq!(got, want, "rank {} read wrong bytes", c.rank());
+        }
+        (c.now() - t).as_nanos()
+    });
+    let nanos = run.results[0];
+    assert!(
+        run.results.iter().all(|&t| t == nanos),
+        "{}: ranks disagree on completion time: {:?}",
+        g.name,
+        run.results
+    );
+    (nanos, cfg.profile.snapshot().twophase)
+}
+
+/// Golden virtual clock: the exact completion time and counters of every
+/// engine configuration, recorded before the engines were folded into one
+/// round scheduler. Any change here is a change to the simulated testbed
+/// and must be re-baselined deliberately.
+#[test]
+fn golden_virtual_clock() {
+    #[rustfmt::skip]
+    let cases = [
+        // name, write, cb_buffer, pipeline, affinity, nanos, windows, rmw, wire, rounds, saved
+        ("write serial affine", true, 1024, false, true, 4541872, 8, 7, 2688, 0, 0),
+        ("write serial contiguous", true, 1024, false, false, 6792322, 8, 7, 2688, 0, 0),
+        ("write pipelined affine", true, 1024, true, true, 4551626, 8, 7, 2688, 2, 1129884),
+        ("write pipelined contiguous", true, 1024, true, false, 5702678, 8, 7, 2688, 2, 1129884),
+        ("write one-round affine", true, 4096, true, true, 3421873, 4, 4, 2688, 0, 0),
+        ("write one-round contiguous", true, 4096, true, false, 4538103, 4, 4, 2688, 0, 0),
+        ("read serial affine", false, 1024, false, true, 3399945, 8, 0, 2688, 0, 0),
+        ("read serial contiguous", false, 1024, false, false, 3399945, 8, 0, 2688, 0, 0),
+        ("read pipelined affine", false, 1024, true, true, 3399561, 8, 0, 2688, 2, 20384),
+        ("read pipelined contiguous", false, 1024, true, false, 3399561, 8, 0, 2688, 2, 20384),
+        ("read one-round affine", false, 4096, true, true, 2273375, 4, 0, 2688, 0, 0),
+        ("read one-round contiguous", false, 4096, true, false, 2273375, 4, 0, 2688, 0, 0),
+    ];
+    let mut bad = Vec::new();
+    for (name, write, cb_buffer, pipeline, affinity, nanos, windows, rmw, wire, rounds, saved) in
+        cases
+    {
+        let g = Golden {
+            name,
+            write,
+            cb_buffer,
+            pipeline,
+            affinity,
+            nanos,
+            windows,
+            rmw_windows: rmw,
+            exchange_wire_bytes: wire,
+            pipelined_rounds: rounds,
+            overlap_saved_nanos: saved,
+        };
+        let (got, t) = golden_run(&g);
+        let got_row = (
+            got,
+            t.windows,
+            t.rmw_windows,
+            t.exchange_wire_bytes,
+            t.pipelined_rounds,
+            t.overlap_saved_nanos,
+        );
+        let want_row = (
+            g.nanos,
+            g.windows,
+            g.rmw_windows,
+            g.exchange_wire_bytes,
+            g.pipelined_rounds,
+            g.overlap_saved_nanos,
+        );
+        if got_row != want_row {
+            bad.push(format!("{name}: got {got_row:?}, want {want_row:?}"));
+        }
+    }
+    assert!(bad.is_empty(), "golden clock moved:\n{}", bad.join("\n"));
 }
