@@ -4,6 +4,36 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The one report check of the smoke stages: the report parses as JSON,
+# every named key appears somewhere in it outside its "gates" object (nested
+# profiles included, so a gate cannot stand in for a missing counter), every
+# named gate is present in "gates", and every gate there is true.
+# Usage: check_report REPORT "KEY ..." "GATE ..."
+check_report() {
+    python3 - "$@" <<'EOF'
+import json, sys
+path, keys, gates = sys.argv[1], sys.argv[2].split(), sys.argv[3].split()
+report = json.load(open(path))
+seen = set()
+def walk(o):
+    if isinstance(o, dict):
+        seen.update(o)
+        for v in o.values():
+            walk(v)
+    elif isinstance(o, list):
+        for v in o:
+            walk(v)
+got = report.get("gates", {})
+walk({k: v for k, v in report.items() if k != "gates"})
+bad = [f"missing key {k}" for k in keys if k not in seen]
+bad += [f"gate {g} missing" for g in gates if g not in got]
+bad += [f"gate {g} is {v}" for g, v in got.items() if v is not True]
+if bad:
+    sys.exit(f"FAIL: {path}: " + "; ".join(bad))
+print(f"    report OK: {len(keys)} keys present, {len(got)} gates true")
+EOF
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -34,86 +64,51 @@ echo "    report OK: all phase keys present; BENCH_fig7.json written"
 echo "==> fault smoke: FLASH checkpoint under injected faults"
 report_dir=$(mktemp -d)
 PNETCDF_REPORT_DIR="$report_dir" ./target/release/fault_smoke
-report="$report_dir/fault_smoke.profile.json"
-[ -f "$report" ] || { echo "FAIL: $report was not written"; exit 1; }
-for key in faults faults_injected retries backoff_time short_completions \
-           agreed_errors byte_identical; do
-    grep -q "\"$key\"" "$report" || { echo "FAIL: report missing key \"$key\""; exit 1; }
-done
+check_report "$report_dir/fault_smoke.profile.json" \
+    "faults faults_injected retries backoff_time short_completions
+     agreed_errors" \
+    "faulty_byte_identical faults_injected faults_retried faulty_no_exhaustion
+     phase_coverage_exact crash_spec_round_trips crash_error_identical
+     crash_exhausted crash_bounded crash_agreed no_failover_without_parity
+     windows_spec_round_trips windows_byte_identical windows_hit
+     windows_retried windows_no_exhaustion"
 rm -rf "$report_dir"
-echo "    fault report OK: injection and recovery counters present"
 
 echo "==> failover smoke: parity carries the checkpoint through a server crash"
 report_dir=$(mktemp -d)
 PNETCDF_REPORT_DIR="$report_dir" ./target/release/failover_smoke
-report="$report_dir/failover_smoke.profile.json"
-[ -f "$report" ] || { echo "FAIL: $report was not written"; exit 1; }
-for key in degraded_reads reconstructed_bytes redirected_writes rebuilds \
-           rebuilt_bytes parity_updates epochs rebuild_time; do
-    grep -q "\"$key\"" "$report" || { echo "FAIL: report missing key \"$key\""; exit 1; }
-done
-# The degraded-mode counters must actually have moved: a zero here means
-# the crash never engaged the parity layer.
-for key in degraded_reads reconstructed_bytes redirected_writes rebuilds; do
-    grep -q "\"$key\": 0\b" "$report" \
-        && { echo "FAIL: failover counter \"$key\" is zero"; exit 1; }
-done
-grep -q '"byte_identical": true' "$report" \
-    || { echo "FAIL: degraded/rebuilt file diverged from fault-free run"; exit 1; }
+check_report "$report_dir/failover_smoke.profile.json" \
+    "degraded_reads reconstructed_bytes redirected_writes rebuilds rebuilt_bytes
+     parity_updates epochs rebuild_time" \
+    "parity_overlay_byte_identical baseline_parity_maintained baseline_no_epoch
+     baseline_no_degraded_reads parity_off_pays_no_parity
+     degraded_write_before_restart server_failed_over one_epoch
+     writes_redirected ladder_exhausted failure_agreed
+     degraded_read_byte_identical degraded_reads bytes_reconstructed
+     rebuild_cleared_mark one_rebuild rebuilt_bytes_moved
+     rebuilt_byte_identical"
 rm -rf "$report_dir"
-echo "    failover report OK: degraded reads, redirects, and rebuild all engaged"
 
 echo "==> cache smoke: FLASH checkpoint through the client page cache"
 report_dir=$(mktemp -d)
 PNETCDF_REPORT_DIR="$report_dir" ./target/release/cache_smoke
-report="$report_dir/cache_smoke.profile.json"
-[ -f "$report" ] || { echo "FAIL: $report was not written"; exit 1; }
-for key in hits hit_bytes misses evictions write_behind_flushes \
-           write_behind_bytes readahead_issued invalidations \
-           byte_identical cached_mb_s uncached_mb_s; do
-    grep -q "\"$key\"" "$report" || { echo "FAIL: report missing key \"$key\""; exit 1; }
-done
-grep -q '"byte_identical": true' "$report" \
-    || { echo "FAIL: cached output not byte-identical"; exit 1; }
+check_report "$report_dir/cache_smoke.profile.json" \
+    "hits hit_bytes misses evictions write_behind_flushes write_behind_bytes
+     readahead_issued invalidations cached_mb_s uncached_mb_s" \
+    "uncached_byte_identical cached_byte_identical cache_hits write_behind
+     evictions cache_faster phase_coverage_exact"
 rm -rf "$report_dir"
-echo "    cache report OK: hit/write-behind counters present, bytes identical"
 
 echo "==> twophase smoke: pipelined vs serial collective engines"
 report_dir=$(mktemp -d)
 PNETCDF_REPORT_DIR="$report_dir" ./target/release/twophase_smoke
-report="$report_dir/twophase_smoke.profile.json"
-# One check: every expected key is present (the server-pipeline counters
-# and cb_nodes sit in the nested profile) and every named gate is present
-# and true.
-python3 - "$report" <<'EOF'
-import json, sys
-path = sys.argv[1]
-report = json.load(open(path))
-keys = ["rounds", "overlap_saved_ns", "serial_mb_s", "pipelined_mb_s",
-        "nic_busy_s", "disk_busy_s", "overlap_s", "queue_stall_s",
-        "max_queue_depth", "cb_nodes"]
-gates = ["serial_byte_identical", "pipelined_byte_identical", "multi_round",
-         "overlap_saved_nonzero", "pipelined_not_slower",
-         "phase_coverage_exact", "cb_nodes_recorded",
-         "server_pipeline_engaged"]
-seen = set()
-def walk(o):
-    if isinstance(o, dict):
-        seen.update(o)
-        for v in o.values():
-            walk(v)
-    elif isinstance(o, list):
-        for v in o:
-            walk(v)
-walk(report)
-got = report.get("gates", {})
-bad = [f"missing key {k}" for k in keys if k not in seen]
-bad += [f"gate {g} missing" for g in gates if g not in got]
-bad += [f"gate {g} is {v}" for g, v in got.items() if v is not True]
-if bad:
-    sys.exit(f"FAIL: {path}: " + "; ".join(bad))
-print(f"    twophase report OK: {len(keys)} keys present, {len(got)} gates true")
-EOF
+# The server-pipeline counters and cb_nodes sit in the nested profile.
+check_report "$report_dir/twophase_smoke.profile.json" \
+    "rounds overlap_saved_ns serial_mb_s pipelined_mb_s nic_busy_s disk_busy_s
+     overlap_s queue_stall_s max_queue_depth cb_nodes" \
+    "serial_byte_identical pipelined_byte_identical multi_round
+     overlap_saved_nonzero pipelined_not_slower phase_coverage_exact
+     cb_nodes_recorded server_pipeline_engaged"
 rm -rf "$report_dir"
 
 echo "==> trace smoke: 64-rank FLASH checkpoint with pnc_trace_events on"
@@ -148,25 +143,12 @@ echo "    critical-path report OK: stage keys and per-window attribution present
 
 echo "==> service smoke: 16 sessions on a shared 4-server cluster"
 report_dir=$(mktemp -d)
-PNETCDF_REPORT_DIR="$report_dir" ./target/release/service_smoke >/dev/null 2>&1
-report="$report_dir/service_smoke.profile.json"
-[ -f "$report" ] || { echo "FAIL: $report was not written"; exit 1; }
-for key in aggregate_mb_s max_session_mb_s cross_file_stall_total_nanos \
-           cross_file_stall_s hints_rejected deterministic; do
-    grep -q "\"$key\"" "$report" || { echo "FAIL: report missing key \"$key\""; exit 1; }
-done
-# The fleet must actually contend across files, beat its best single
-# session in aggregate, and notice the deliberately misspelled hint.
-grep -q '"cross_file_stall_total_nanos": 0\b' "$report" \
-    && { echo "FAIL: no cross-file contention on the shared servers"; exit 1; }
-grep -q '"aggregate_ge_max_session": true' "$report" \
-    || { echo "FAIL: aggregate throughput below best single session"; exit 1; }
-grep -q '"hints_rejected": 0\b' "$report" \
-    && { echo "FAIL: misspelled pnc_ hint was not rejected"; exit 1; }
-grep -q '"deterministic": true' "$report" \
-    || { echo "FAIL: session fleet not deterministic across reruns"; exit 1; }
+PNETCDF_REPORT_DIR="$report_dir" ./target/release/service_smoke >/dev/null
+check_report "$report_dir/service_smoke.profile.json" \
+    "aggregate_mb_s max_session_mb_s cross_file_stall_total_nanos
+     cross_file_stall_s hints_rejected" \
+    "hint_rejected cross_file_contention aggregate_ge_max_session deterministic"
 rm -rf "$report_dir"
-echo "    service report OK: cross-file stall, aggregate >= best session, hint audit"
 
 echo "==> microbench smoke: byte-path criterion suite (quick mode)"
 report_dir=$(mktemp -d)

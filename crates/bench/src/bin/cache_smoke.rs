@@ -18,7 +18,7 @@
 use flash_io::{run_flash_io_mode, FlashConfig, IoLibrary, OutputKind, WriteMode};
 use hpc_sim::trace::Json;
 use hpc_sim::SimConfig;
-use pnetcdf_bench::report::{check_coverage, write_report};
+use pnetcdf_bench::report::{coverage_within, enforce_gates, gates_json, write_report};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
 const NPROCS: usize = 64;
@@ -55,46 +55,38 @@ fn main() {
 
     let (uncached_bytes, uncached) =
         checkpoint_bytes(SimConfig::asci_frost(), WriteMode::uncached());
-    assert_eq!(
-        uncached_bytes, reference,
-        "FAIL: the independent port produced different file contents"
-    );
-    println!(
-        "  uncached:   {:.1} MB/s, byte-identical",
-        uncached.bandwidth_mb_s
-    );
+    println!("  uncached:   {:.1} MB/s", uncached.bandwidth_mb_s);
 
     // One 256 KiB page of budget: every variable's flush evicts the last.
     let sim = SimConfig::asci_frost();
     sim.profile.set_enabled(true);
     let (cached_bytes, cached) = checkpoint_bytes(sim.clone(), WriteMode::cached(256 * 1024));
-    assert_eq!(
-        cached_bytes, reference,
-        "FAIL: the page cache changed the file contents"
-    );
     let cc = sim.profile.cache_counters();
-    assert!(cc.hits > 0, "FAIL: no cache hits recorded: {cc:?}");
-    assert!(
-        cc.write_behind_flushes > 0 && cc.write_behind_bytes > 0,
-        "FAIL: no write-behind recorded: {cc:?}"
-    );
-    assert!(cc.evictions > 0, "FAIL: tiny budget never evicted: {cc:?}");
-    assert!(
-        cached.bandwidth_mb_s > uncached.bandwidth_mb_s,
-        "FAIL: cache did not improve bandwidth ({:.1} vs {:.1} MB/s)",
-        cached.bandwidth_mb_s,
-        uncached.bandwidth_mb_s
-    );
     let profile = sim.profile.snapshot().to_json(cached.time.as_nanos());
-    check_coverage(&profile, 0.05);
     println!(
-        "  cached:     {:.1} MB/s, byte-identical; {} hits, {} evictions, {} flushed",
+        "  cached:     {:.1} MB/s; {} hits, {} evictions, {} flushed",
         cached.bandwidth_mb_s,
         cc.hits,
         cc.evictions,
         pnetcdf_bench::table::fmt_bytes(cc.write_behind_bytes)
     );
 
+    // Every gate is a real comparison; CI fails on any false or missing one.
+    let gates = [
+        ("uncached_byte_identical", uncached_bytes == reference),
+        ("cached_byte_identical", cached_bytes == reference),
+        ("cache_hits", cc.hits > 0),
+        (
+            "write_behind",
+            cc.write_behind_flushes > 0 && cc.write_behind_bytes > 0,
+        ),
+        ("evictions", cc.evictions > 0),
+        (
+            "cache_faster",
+            cached.bandwidth_mb_s > uncached.bandwidth_mb_s,
+        ),
+        ("phase_coverage_exact", coverage_within(&profile, 0.05)),
+    ];
     write_report(
         "cache_smoke.profile.json",
         &Json::obj()
@@ -104,8 +96,9 @@ fn main() {
             .with("collective_mb_s", coll.bandwidth_mb_s)
             .with("uncached_mb_s", uncached.bandwidth_mb_s)
             .with("cached_mb_s", cached.bandwidth_mb_s)
-            .with("byte_identical", true)
+            .with("gates", gates_json(&gates))
             .with("profile", profile),
     );
+    enforce_gates("cache_smoke", &gates);
     println!("cache smoke OK");
 }

@@ -21,13 +21,16 @@
 //!    degraded-write log onto the returning server and refreshes its
 //!    parity rows; the file is byte-identical to the fault-free run.
 //!
+//! Each check is a named boolean in the report's `"gates"` object; the
+//! report is written before the binary fails on a false gate.
+//!
 //! Usage: `cargo run --release -p pnetcdf-bench --bin failover_smoke`
 
 use flash_io::{writers, BlockMesh, OutputKind};
 use hpc_sim::trace::Json;
 use hpc_sim::{CrashSpec, FaultPlan, SimConfig, Time};
 use pnetcdf::Info;
-use pnetcdf_bench::report::write_report;
+use pnetcdf_bench::report::{enforce_gates, gates_json, write_report};
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -70,6 +73,8 @@ fn file_bytes(pfs: &Pfs) -> Vec<u8> {
 
 fn main() {
     println!("# Failover smoke: FLASH checkpoint, {NPROCS} procs, parity + server crash");
+    // Every gate is a real comparison; CI fails on any false or missing one.
+    let mut gates: Vec<(&str, bool)> = Vec::new();
 
     // 1. Fault-free baseline, parity on — and a parity-off twin to prove
     //    the overlay leaves the data bytes alone.
@@ -80,22 +85,20 @@ fn main() {
     let plain_sim = SimConfig::asci_frost();
     plain_sim.profile.set_enabled(true);
     let (plain_pfs, _) = checkpoint(&plain_sim, Info::new());
-    assert_eq!(
-        clean_bytes,
-        file_bytes(&plain_pfs),
-        "FAIL: parity overlay changed the file bytes"
-    );
     let fo = base_sim.profile.failover_counters();
-    assert!(
-        fo.parity_updates > 0,
-        "FAIL: parity never maintained: {fo:?}"
-    );
-    assert_eq!(fo.epochs, 0, "FAIL: fault-free run declared an epoch");
-    assert_eq!(fo.degraded_reads, 0, "FAIL: fault-free degraded reads");
     let pfo = plain_sim.profile.failover_counters();
-    assert_eq!(pfo.parity_updates, 0, "FAIL: parity-off run paid parity");
+    gates.extend([
+        (
+            "parity_overlay_byte_identical",
+            clean_bytes == file_bytes(&plain_pfs),
+        ),
+        ("baseline_parity_maintained", fo.parity_updates > 0),
+        ("baseline_no_epoch", fo.epochs == 0),
+        ("baseline_no_degraded_reads", fo.degraded_reads == 0),
+        ("parity_off_pays_no_parity", pfo.parity_updates == 0),
+    ]);
     println!(
-        "  baseline:  {} file bytes in {:.3}s virtual, parity-off twin byte-identical",
+        "  baseline:  {} file bytes in {:.3}s virtual, parity-off twin compared",
         clean_bytes.len(),
         base_makespan.as_secs_f64()
     );
@@ -116,28 +119,19 @@ fn main() {
     let crash_sim = SimConfig::asci_frost().builder().faults(plan).build();
     crash_sim.profile.set_enabled(true);
     let (pfs, makespan) = checkpoint(&crash_sim, Info::new().with("pnc_parity", "enable"));
-    assert!(
-        makespan < restart,
-        "FAIL: degraded-mode write ({makespan:?}) dragged past the restart ({restart:?})"
-    );
-    assert_eq!(
-        pfs.down_server(),
-        Some(0),
-        "FAIL: server 0 never failed over"
-    );
     let fo = crash_sim.profile.failover_counters();
     let fc = crash_sim.profile.fault_counters();
-    assert_eq!(fo.epochs, 1, "FAIL: expected one server-down epoch: {fo:?}");
-    assert!(
-        fo.redirected_writes > 0,
-        "FAIL: no writes redirected: {fo:?}"
-    );
-    assert!(fo.redirected_bytes > 0, "FAIL: no bytes redirected: {fo:?}");
-    assert!(fc.exhausted > 0, "FAIL: ladder never exhausted: {fc:?}");
-    assert!(
-        fc.agreed_errors > 0,
-        "FAIL: no collective agreement: {fc:?}"
-    );
+    gates.extend([
+        ("degraded_write_before_restart", makespan < restart),
+        ("server_failed_over", pfs.down_server() == Some(0)),
+        ("one_epoch", fo.epochs == 1),
+        (
+            "writes_redirected",
+            fo.redirected_writes > 0 && fo.redirected_bytes > 0,
+        ),
+        ("ladder_exhausted", fc.exhausted > 0),
+        ("failure_agreed", fc.agreed_errors > 0),
+    ]);
     println!(
         "  crash:     checkpoint completed degraded in {:.3}s virtual ({} writes redirected)",
         makespan.as_secs_f64(),
@@ -148,45 +142,40 @@ fn main() {
     //    the dead server reconstructs from surviving data + parity.
     let f = pfs.open("flash_out").expect("checkpoint written");
     let t_read = makespan + Time::from_millis(1);
-    assert!(t_read < restart, "read must land inside the outage");
     let mut degraded = vec![0u8; f.size() as usize];
-    f.try_read_at(t_read, 0, &mut degraded)
-        .expect("degraded read must succeed without server 0");
-    assert_eq!(
-        degraded, clean_bytes,
-        "FAIL: degraded read diverged from the fault-free file"
-    );
+    let read_ok = t_read < restart && f.try_read_at(t_read, 0, &mut degraded).is_ok();
     let fo = crash_sim.profile.failover_counters();
-    assert!(fo.degraded_reads > 0, "FAIL: no degraded reads: {fo:?}");
-    assert!(
-        fo.reconstructed_bytes > 0,
-        "FAIL: nothing reconstructed: {fo:?}"
-    );
+    gates.extend([
+        (
+            "degraded_read_byte_identical",
+            read_ok && degraded == clean_bytes,
+        ),
+        ("degraded_reads", fo.degraded_reads > 0),
+        ("bytes_reconstructed", fo.reconstructed_bytes > 0),
+    ]);
     println!(
-        "  degraded:  read-back byte-identical ({} bytes reconstructed from parity)",
+        "  degraded:  read-back compared ({} bytes reconstructed from parity)",
         fo.reconstructed_bytes
     );
 
     // 4. First access past the restart triggers the online rebuild; the
     //    server rejoins and the file is byte-identical.
     let mut probe = [0u8; 1];
-    f.try_read_at(restart + Time::from_secs_f64(1.0), 0, &mut probe)
-        .expect("post-restart read failed");
-    assert_eq!(
-        pfs.down_server(),
-        None,
-        "FAIL: rebuild never cleared the mark"
-    );
+    let probe_ok = f
+        .try_read_at(restart + Time::from_secs_f64(1.0), 0, &mut probe)
+        .is_ok();
     let fo = crash_sim.profile.failover_counters();
-    assert_eq!(fo.rebuilds, 1, "FAIL: expected one rebuild: {fo:?}");
-    assert!(fo.rebuilt_bytes > 0, "FAIL: rebuild moved no bytes: {fo:?}");
-    assert_eq!(
-        file_bytes(&pfs),
-        clean_bytes,
-        "FAIL: rebuilt file diverged from the fault-free run"
-    );
+    gates.extend([
+        (
+            "rebuild_cleared_mark",
+            probe_ok && pfs.down_server().is_none(),
+        ),
+        ("one_rebuild", fo.rebuilds == 1),
+        ("rebuilt_bytes_moved", fo.rebuilt_bytes > 0),
+        ("rebuilt_byte_identical", file_bytes(&pfs) == clean_bytes),
+    ]);
     println!(
-        "  rebuild:   {} bytes replayed in {:.3}s virtual; file byte-identical",
+        "  rebuild:   {} bytes replayed in {:.3}s virtual; file compared",
         fo.rebuilt_bytes,
         Time::from_nanos(fo.rebuild_nanos).as_secs_f64()
     );
@@ -198,13 +187,14 @@ fn main() {
             .with("benchmark", "failover_smoke")
             .with("nprocs", NPROCS as u64)
             .with("blocks_per_proc", BLOCKS_PER_PROC)
-            .with("byte_identical", true)
             .with("degraded_reads", fo.degraded_reads)
             .with("reconstructed_bytes", fo.reconstructed_bytes)
             .with("redirected_writes", fo.redirected_writes)
             .with("rebuilds", fo.rebuilds)
             .with("rebuilt_bytes", fo.rebuilt_bytes)
+            .with("gates", gates_json(&gates))
             .with("profile", profile),
     );
+    enforce_gates("failover_smoke", &gates);
     println!("failover smoke OK");
 }

@@ -22,7 +22,7 @@
 use flash_io::{run_flash_io_mode, FlashConfig, IoLibrary, OutputKind, WriteMode};
 use hpc_sim::trace::Json;
 use hpc_sim::SimConfig;
-use pnetcdf_bench::report::write_report;
+use pnetcdf_bench::report::{coverage_within, enforce_gates, gates_json, write_report};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
 const NPROCS: usize = 64;
@@ -76,10 +76,6 @@ fn main() {
     let snap = sim.profile.snapshot();
     let tp = snap.twophase;
     let profile = snap.to_json(pipelined.time.as_nanos());
-    let coverage = profile
-        .get("coverage")
-        .and_then(Json::as_f64)
-        .expect("profile has a coverage field");
     println!(
         "  pipelined: {:.1} MB/s; {} rounds, {:.3} s overlap hidden",
         pipelined.bandwidth_mb_s,
@@ -94,7 +90,7 @@ fn main() {
         ("multi_round", tp.pipelined_rounds >= 2),
         ("overlap_saved_nonzero", tp.overlap_saved_nanos > 0),
         ("pipelined_not_slower", pipelined.time <= serial.time),
-        ("phase_coverage_exact", (coverage - 1.0).abs() <= 0.05),
+        ("phase_coverage_exact", coverage_within(&profile, 0.05)),
         ("cb_nodes_recorded", tp.cb_nodes >= 1),
         (
             "server_pipeline_engaged",
@@ -107,10 +103,6 @@ fn main() {
                 }),
         ),
     ];
-    let mut gates_json = Json::obj();
-    for (name, ok) in gates {
-        gates_json.set(name, ok);
-    }
     write_report(
         "twophase_smoke.profile.json",
         &Json::obj()
@@ -123,10 +115,9 @@ fn main() {
             .with("pipelined_mb_s", pipelined.bandwidth_mb_s)
             .with("rounds", tp.pipelined_rounds)
             .with("overlap_saved_ns", tp.overlap_saved_nanos)
-            .with("gates", gates_json)
+            .with("gates", gates_json(&gates))
             .with("profile", profile),
     );
-    let failed: Vec<&str> = gates.iter().filter(|g| !g.1).map(|g| g.0).collect();
-    assert!(failed.is_empty(), "FAIL: twophase smoke gates {failed:?}");
+    enforce_gates("twophase_smoke", &gates);
     println!("twophase smoke OK");
 }

@@ -56,19 +56,48 @@ pub fn write_trace(name: &str, trace: &Json) -> PathBuf {
     path
 }
 
-/// Assert that the critical rank's attributed phase time explains the
-/// reported makespan to within `tol` (0.05 = 5%). Every simulated clock
-/// advance is charged to exactly one phase, so real coverage should be
-/// 1.0; a miss means an attribution hole in some layer.
-pub fn check_coverage(report: &Json, tol: f64) {
-    let coverage = report
+/// The critical rank's attributed phase time over the reported makespan.
+/// Every simulated clock advance is charged to exactly one phase, so real
+/// coverage is 1.0; a miss means an attribution hole in some layer.
+fn coverage(report: &Json) -> f64 {
+    report
         .get("coverage")
         .and_then(Json::as_f64)
-        .expect("report has a coverage field");
+        .expect("report has a coverage field")
+}
+
+/// Whether the phase breakdown explains the makespan to within `tol`
+/// (0.05 = 5%).
+pub fn coverage_within(report: &Json, tol: f64) -> bool {
+    (coverage(report) - 1.0).abs() <= tol
+}
+
+/// Assert [`coverage_within`].
+pub fn check_coverage(report: &Json, tol: f64) {
     assert!(
-        (coverage - 1.0).abs() <= tol,
+        coverage_within(report, tol),
         "phase attribution covers {:.2}% of the makespan (tolerance {:.0}%)",
-        coverage * 100.0,
+        coverage(report) * 100.0,
         tol * 100.0
     );
+}
+
+/// A smoke binary's named pass/fail checks as the report's `"gates"`
+/// object: one boolean per check, each the outcome of a real comparison.
+pub fn gates_json(gates: &[(&str, bool)]) -> Json {
+    let mut out = Json::obj();
+    for &(name, ok) in gates {
+        out.set(name, ok);
+    }
+    out
+}
+
+/// Exit non-zero, naming every false gate. Call after the report is
+/// written, so a failing run still leaves its evidence behind.
+pub fn enforce_gates(bin: &str, gates: &[(&str, bool)]) {
+    let failed: Vec<&str> = gates.iter().filter(|g| !g.1).map(|g| g.0).collect();
+    if !failed.is_empty() {
+        eprintln!("FAIL: {bin} gates {failed:?}");
+        std::process::exit(1);
+    }
 }

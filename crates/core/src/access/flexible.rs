@@ -4,13 +4,16 @@
 //! noncontiguous regions in memory, which is missing from the original
 //! interface. These regions are described using MPI datatypes." The file
 //! region is still described by `start/count/stride`; the memory side is
-//! `(buf, bufcount, mpi_datatype)`. All the high-level routines could be
-//! written over these (and in the reference implementation they are; here
-//! the typed path shares `put_region` instead to avoid double conversion).
+//! `(buf, bufcount, mpi_datatype)`. "All the high-level routines could be
+//! written over these": here both APIs lower into the same request and
+//! complete through the same path (blocking or nonblocking alike), and
+//! differ only in how they stage memory — a fused datatype gather + byte
+//! swap here, a typed conversion in [`super::highlevel`].
 //!
 //! The memory datatype's element width must equal the variable's external
 //! type width (the common usage); the conversion is then an endianness swap.
 
+use pnetcdf_format::NcType;
 use pnetcdf_mpi::Datatype;
 
 use crate::convert;
@@ -18,19 +21,16 @@ use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
 
 impl Dataset {
-    pub(crate) fn flexible_common(
-        &mut self,
+    /// Check a flexible memory description against the access; returns the
+    /// variable's external type.
+    pub(crate) fn check_flexible(
+        &self,
         varid: usize,
         count: &[u64],
         bufcount: usize,
         memtype: &Datatype,
-    ) -> NcmpiResult<(pnetcdf_format::NcType, usize)> {
-        let nctype = self
-            .header
-            .vars
-            .get(varid)
-            .map(|v| v.nctype)
-            .ok_or_else(|| NcmpiError::NotFound(format!("variable id {varid}")))?;
+    ) -> NcmpiResult<NcType> {
+        let nctype = self.var_nctype(varid)?;
         let esize = nctype.size() as usize;
         let mem_bytes = memtype.size() as usize * bufcount;
         let sel: u64 = count.iter().product::<u64>() * esize as u64;
@@ -44,7 +44,51 @@ impl Dataset {
                 "memory datatype size {mem_bytes} is not a multiple of element size {esize}"
             )));
         }
-        Ok((nctype, mem_bytes))
+        Ok(nctype)
+    }
+
+    /// Flexible put staging, blocking and nonblocking alike: check that the
+    /// dataset is writable, then gather the (possibly noncontiguous) native
+    /// memory and swap to external byte order in one fused pass. The simulator still charges the datatype
+    /// walk and the conversion separately — the work happens, only the
+    /// intermediate buffer is gone.
+    pub(crate) fn stage_flexible(
+        &self,
+        varid: usize,
+        count: &[u64],
+        buf: &[u8],
+        bufcount: usize,
+        memtype: &Datatype,
+    ) -> NcmpiResult<Vec<u8>> {
+        self.require_writable()?;
+        let nctype = self.check_flexible(varid, count, bufcount, memtype)?;
+        let ext = convert::pack_to_external(buf, bufcount, memtype, nctype)?;
+        let cfg = self.comm.config();
+        cfg.profile
+            .record_bytepath(|b| b.fused_pack_bytes += ext.len() as u64);
+        if !memtype.is_contiguous() {
+            self.comm.advance(cfg.cpu.pack(ext.len(), 1.0));
+        }
+        self.comm.advance(cfg.cpu.pack(ext.len(), 1.0));
+        Ok(ext)
+    }
+
+    /// The flexible get tail: charge the conversion and scatter the
+    /// external bytes into the caller's memory description in one fused
+    /// convert+scatter pass.
+    pub(crate) fn ext_to_memory(
+        &self,
+        (nctype, ext): (NcType, Vec<u8>),
+        buf: &mut [u8],
+        bufcount: usize,
+        memtype: &Datatype,
+    ) -> NcmpiResult<()> {
+        let cfg = self.comm.config();
+        self.comm.advance(cfg.cpu.pack(ext.len(), 1.0));
+        cfg.profile
+            .record_bytepath(|b| b.fused_unpack_bytes += ext.len() as u64);
+        convert::unpack_from_external(&ext, buf, bufcount, memtype, nctype)?;
+        Ok(())
     }
 
     /// Collective flexible write (`ncmpi_put_vara_all` in the C API).
@@ -133,32 +177,11 @@ impl Dataset {
         memtype: &Datatype,
         collective: bool,
     ) -> NcmpiResult<()> {
-        if collective {
-            self.require_collective()?;
-        } else {
-            self.require_independent()?;
-        }
-        self.require_writable()?;
-        let (nctype, _) = self.flexible_common(varid, count, bufcount, memtype)?;
-
-        // Gather the (possibly noncontiguous) native memory and swap to
-        // external byte order in one fused pass. The simulator still
-        // charges the datatype walk and the conversion separately — the
-        // work happens, only the intermediate buffer is gone.
-        let ext = convert::pack_to_external(buf, bufcount, memtype, nctype)?;
-        self.comm
-            .config()
-            .profile
-            .record_bytepath(|b| b.fused_pack_bytes += ext.len() as u64);
-        if !memtype.is_contiguous() {
-            self.comm
-                .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        }
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-
-        let req = self.lower_put(varid, start, count, stride, ext)?;
-        self.execute_put_now(&req, collective)
+        self.require_access_mode(collective)?;
+        let lowered = self
+            .stage_flexible(varid, count, buf, bufcount, memtype)
+            .and_then(|ext| self.lower(varid, start, count, stride, Some(ext)));
+        self.complete_one(lowered, collective).map(drop)
     }
 
     /// Collective flexible read (`ncmpi_get_vara_all`).
@@ -248,22 +271,11 @@ impl Dataset {
         memtype: &Datatype,
         collective: bool,
     ) -> NcmpiResult<()> {
-        if collective {
-            self.require_collective()?;
-        } else {
-            self.require_independent()?;
-        }
-        let (nctype, _) = self.flexible_common(varid, count, bufcount, memtype)?;
-        let req = self.lower_get(varid, start, count, stride)?;
-        let ext = self.execute_get_now(&req, collective)?;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        self.comm
-            .config()
-            .profile
-            .record_bytepath(|b| b.fused_unpack_bytes += ext.len() as u64);
-        // Fused convert+scatter back into the user's memory description.
-        convert::unpack_from_external(&ext, buf, bufcount, memtype, nctype)?;
-        Ok(())
+        self.require_access_mode(collective)?;
+        let lowered = self
+            .check_flexible(varid, count, bufcount, memtype)
+            .and_then(|_| self.lower(varid, start, count, stride, None));
+        let got = self.complete_one(lowered, collective)?;
+        self.ext_to_memory(got, buf, bufcount, memtype)
     }
 }

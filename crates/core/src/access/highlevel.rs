@@ -7,11 +7,9 @@
 //! requiring collective data mode) and an **independent** flavor (requiring
 //! independent data mode entered via `begin_indep_data`).
 
-use pnetcdf_format::types::{from_external, to_external};
 use pnetcdf_format::NcValue;
 
 use crate::access::map::{gather_by_imap, scatter_by_imap};
-use crate::access::request;
 use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
 
@@ -25,49 +23,11 @@ impl Dataset {
         vals: &[T],
         collective: bool,
     ) -> NcmpiResult<()> {
-        if collective {
-            self.require_collective()?;
-        } else {
-            self.require_independent()?;
-        }
-        // Validate and lower locally, then (in collective mode) agree on the
-        // outcome *before* entering the collective execution: if any rank
-        // failed validation, every rank returns that same error and nobody
-        // enters the two-phase exchange alone.
-        let lowered = (|| {
-            self.require_writable()?;
-            self.check_count(count, vals.len())?;
-            let nctype = self.var_nctype(varid)?;
-            let ext = to_external(vals, nctype)?;
-            // Native→external conversion is real CPU work.
-            self.comm
-                .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-            // Lower into the unified request engine and execute immediately:
-            // a blocking call is a queue-depth-one flush.
-            self.lower_put(varid, start, count, stride, ext)
-        })();
-        let req = if collective {
-            self.agree(lowered)?
-        } else {
-            lowered?
-        };
-        let done = self.execute_put_now(&req, collective);
-        // Execution faults can be aggregator-local (a storage fault that
-        // exhausted one rank's retry budget), so agree on those too.
-        let mut done = if collective { self.agree(done) } else { done };
-        // Server failover: the agreed (or, independently, local) verdict
-        // says a crashed server is coverable by parity — mark it down
-        // (idempotent) and re-issue the same write once in degraded mode.
-        if let Some(server) = request::agreed_server_lost(&done) {
-            self.file.raw().mark_server_down(server);
-            let retried = self.execute_put_now(&req, collective);
-            done = if collective {
-                self.agree(retried)
-            } else {
-                retried
-            };
-        }
-        done
+        self.require_access_mode(collective)?;
+        let lowered = self
+            .stage_typed(varid, count, vals)
+            .and_then(|ext| self.lower(varid, start, count, stride, Some(ext)));
+        self.complete_one(lowered, collective).map(drop)
     }
 
     fn get_region<T: NcValue>(
@@ -78,56 +38,18 @@ impl Dataset {
         stride: Option<&[u64]>,
         collective: bool,
     ) -> NcmpiResult<Vec<T>> {
-        if collective {
-            self.require_collective()?;
-        } else {
-            self.require_independent()?;
-        }
-        let nctype = self.var_nctype(varid)?;
+        self.require_access_mode(collective)?;
         // The prefetch cache serves reads from local memory — no file I/O,
-        // no synchronization (the §4.1 hint optimization). Bounds are
-        // validated before the cache is consulted.
+        // no synchronization (the §4.1 hint optimization). Prefetching is
+        // the same on every rank, so no rank is left in a collective.
         if self.is_prefetched(varid) {
-            pnetcdf_format::layout::check_access(
-                &self.header,
-                varid,
-                start,
-                count,
-                stride,
-                Some(self.header.numrecs),
-            )?;
-            let ext = self
-                .cached_read(varid, start, count, stride)
-                .expect("cache present");
-            self.comm
-                .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-            return Ok(from_external(&ext, nctype)?);
+            let req = self.lower(varid, start, count, stride, None)?;
+            let ext = self.cached_read(&req);
+            return self.ext_to_values((req.nctype, ext));
         }
-        // Agree on the lowering before the collective execution, then on the
-        // execution outcome itself (see `put_region`).
-        let lowered = self.lower_get(varid, start, count, stride);
-        let req = if collective {
-            self.agree(lowered)?
-        } else {
-            lowered?
-        };
-        let got = self.execute_get_now(&req, collective);
-        let mut got = if collective { self.agree(got) } else { got };
-        // Server failover on reads: degraded mode reconstructs the lost
-        // server's chunks from surviving data + parity.
-        if let Some(server) = request::agreed_server_lost(&got) {
-            self.file.raw().mark_server_down(server);
-            let retried = self.execute_get_now(&req, collective);
-            got = if collective {
-                self.agree(retried)
-            } else {
-                retried
-            };
-        }
-        let ext = got?;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        Ok(from_external(&ext, nctype)?)
+        let lowered = self.lower(varid, start, count, stride, None);
+        let got = self.complete_one(lowered, collective)?;
+        self.ext_to_values(got)
     }
 
     // ---- vara: subarray ---------------------------------------------------

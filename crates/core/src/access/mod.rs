@@ -11,8 +11,9 @@
 //! * [`flexible`] — the flexible API taking an MPI datatype describing
 //!   (possibly noncontiguous) memory;
 //! * [`map`] — `imap` gather/scatter shared by the `varm` calls;
-//! * [`request`] — the unified request engine every access lowers into,
-//!   including the nonblocking `iput`/`iget`/`wait_all` API.
+//! * [`request`] — the unified request engine every access lowers into and
+//!   completes through (a blocking call is a queue of one), including the
+//!   nonblocking `iput`/`iget`/`wait_all` API.
 
 pub mod flexible;
 pub mod highlevel;
@@ -20,41 +21,10 @@ pub mod map;
 pub mod prefetch;
 pub mod request;
 
-use pnetcdf_format::layout;
-use pnetcdf_mpio::Run;
-
 use crate::dataset::Dataset;
-use crate::error::{NcmpiError, NcmpiResult};
+use crate::error::NcmpiResult;
 
 impl Dataset {
-    /// Validate an access and resolve it to `(absolute file byte runs,
-    /// total bytes)` — the common lowering every request goes through.
-    pub(crate) fn build_region(
-        &self,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-        for_write: bool,
-    ) -> NcmpiResult<(Vec<Run>, u64)> {
-        let limit = if for_write {
-            None
-        } else {
-            Some(self.header.numrecs)
-        };
-        layout::check_access(&self.header, varid, start, count, stride, limit)?;
-        let runs = layout::access_runs(
-            &self.header,
-            self.layout.recsize,
-            varid,
-            start,
-            count,
-            stride,
-        );
-        let total: u64 = runs.iter().map(|r| r.1).sum();
-        Ok((runs, total))
-    }
-
     /// After a write touching a record variable, grow the local `numrecs`.
     pub(crate) fn grow_numrecs(
         &mut self,
@@ -73,14 +43,13 @@ impl Dataset {
         }
     }
 
-    /// Check the element count of a typed access.
-    pub(crate) fn check_count(&self, count: &[u64], vals_len: usize) -> NcmpiResult<()> {
-        let n: u64 = count.iter().product();
-        if n as usize != vals_len {
-            return Err(NcmpiError::InvalidArgument(format!(
-                "value buffer has {vals_len} elements, access selects {n}"
-            )));
+    /// The data mode a blocking call requires: collective for `*_all`,
+    /// independent otherwise.
+    pub(crate) fn require_access_mode(&self, collective: bool) -> NcmpiResult<()> {
+        if collective {
+            self.require_collective()
+        } else {
+            self.require_independent()
         }
-        Ok(())
     }
 }

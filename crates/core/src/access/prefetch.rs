@@ -15,8 +15,7 @@
 //! synchronization. Any write to a cached variable, or a `redef`,
 //! invalidates its cache entry.
 
-use pnetcdf_format::layout;
-
+use crate::access::request::{extract_runs, AccessReq};
 use crate::dataset::Dataset;
 use crate::error::NcmpiResult;
 
@@ -40,7 +39,7 @@ impl Dataset {
             }
             let count = self.header.var_shape(varid);
             let start = vec![0u64; count.len()];
-            let req = self.lower_get(varid, &start, &count, None)?;
+            let req = self.lower(varid, &start, &count, None, None)?;
             queued.push((varid, self.enqueue(req)));
         }
         // One collective round reads every hinted variable, however many
@@ -55,33 +54,14 @@ impl Dataset {
         Ok(())
     }
 
-    /// Serve a read from the prefetch cache if the variable is resident.
-    /// Returns the packed external bytes of the selection, or `None`.
-    pub(crate) fn cached_read(
-        &self,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-    ) -> Option<Vec<u8>> {
-        let cache = self.prefetch.get(&varid)?;
-        let v = &self.header.vars[varid];
-        // access_runs yields absolute file offsets; the cache holds the
-        // variable contiguously from `begin`.
-        let runs = layout::access_runs(
-            &self.header,
-            self.layout.recsize,
-            varid,
-            start,
-            count,
-            stride,
-        );
-        let mut out = Vec::with_capacity(runs.iter().map(|r| r.1 as usize).sum());
-        for (off, len) in runs {
-            let lo = (off - v.begin) as usize;
-            out.extend_from_slice(&cache[lo..lo + len as usize]);
-        }
-        Some(out)
+    /// Serve a lowered read of a resident variable from the prefetch
+    /// cache: the packed external bytes of its runs.
+    pub(crate) fn cached_read(&self, req: &AccessReq) -> Vec<u8> {
+        // The cache holds the variable contiguously from `begin`: a
+        // coverage of one run.
+        let cache = &self.prefetch[&req.varid];
+        let begin = self.header.vars[req.varid].begin;
+        extract_runs(&[(begin, cache.len() as u64)], &[0], cache, &req.runs)
     }
 
     /// Drop the cache entry for `varid` (after a write to it).

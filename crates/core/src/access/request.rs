@@ -3,10 +3,12 @@
 //! Every data access — typed or flexible, blocking or nonblocking,
 //! collective or independent — is lowered into one [`AccessReq`]: the
 //! validated access frozen as absolute file byte runs plus (for puts) the
-//! staged external bytes. The blocking calls in [`super::highlevel`] and
-//! [`super::flexible`] execute a single request immediately; the
-//! nonblocking `iput_*`/`iget_*` calls queue requests on the dataset and
-//! return [`Request`] tickets.
+//! staged external bytes — and completed by one function, `complete`:
+//! flush, agree (when collective), fail over once on an agreed lost
+//! server. The blocking calls in [`super::highlevel`] and
+//! [`super::flexible`] hand it a queue of one; the nonblocking
+//! `iput_*`/`iget_*` calls queue requests on the dataset and return
+//! [`Request`] tickets that `wait_all`/`wait` complete.
 //!
 //! `wait_all` is where the paper's aggregation idea pays off (the
 //! optimization production PnetCDF later shipped as `ncmpi_iput/ncmpi_wait_all`):
@@ -16,14 +18,17 @@
 //! collective read. N queued variable accesses cost one or two collective
 //! rounds instead of N.
 
+use std::borrow::Cow;
+
 use hpc_sim::trace::events::layer;
 use hpc_sim::{Span, Time, TraceCtx};
+use pnetcdf_format::layout;
 use pnetcdf_format::types::{from_external, to_external};
 use pnetcdf_format::{NcType, NcValue};
 use pnetcdf_mpi::{Datatype, ReduceOp, Request};
-use pnetcdf_mpio::{MpioError, Run};
+use pnetcdf_mpio::view::runs_total;
+use pnetcdf_mpio::{MpiFile, MpioError, Run};
 
-use crate::convert;
 use crate::dataset::{DataMode, Dataset};
 use crate::error::{NcmpiError, NcmpiResult};
 
@@ -38,20 +43,19 @@ pub(crate) enum AccessKind {
 /// to file byte runs when the request is built, so executing it later (or
 /// merged with others) needs no further header state.
 pub(crate) struct AccessReq {
+    /// The nonblocking ticket; `Request::NULL` for a blocking call's request.
     pub id: Request,
     pub varid: usize,
     pub kind: AccessKind,
-    /// Absolute file byte runs of the selection, sorted and non-overlapping.
+    /// Absolute file byte runs of the selection: sorted, non-overlapping and
+    /// non-adjacent, as `layout::access_runs` emits them.
     pub runs: Vec<Run>,
     /// Put: external (big-endian) bytes in run order. Get: empty.
     pub buffer: Vec<u8>,
     /// The variable's external type, kept for get-result conversion.
     pub nctype: NcType,
-    /// Whether the variable is a record variable (drives `numrecs`
-    /// reconciliation at flush time).
-    pub record: bool,
     /// Event-trace id issued at enqueue time (0 when tracing is off or the
-    /// request runs on the blocking path, which issues its own span).
+    /// request is a blocking call's, which only its flush span covers).
     pub trace_id: u64,
     /// Virtual time the request was queued (span begin for `iput`/`iget`).
     pub queued: Time,
@@ -149,19 +153,31 @@ fn runs_coalesced(runs: &[Run]) -> bool {
     runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0)
 }
 
-/// Merge the put requests into one sorted run list + staging buffer, later
-/// requests winning overlaps. A single coalesced put needs no merge at all:
-/// its staged buffer is borrowed as-is (zero copies).
-fn merge_puts(reqs: &[AccessReq]) -> (Vec<Run>, std::borrow::Cow<'_, [u8]>) {
-    let puts: Vec<&AccessReq> = reqs.iter().filter(|r| r.kind == AccessKind::Put).collect();
-    if let [only] = puts.as_slice() {
-        if runs_coalesced(&only.runs) {
-            return (only.runs.clone(), std::borrow::Cow::Borrowed(&only.buffer));
+/// The one request of `kind` in the queue, if there is exactly one. Its
+/// runs are already coalesced, so a merge would leave it untouched: it is
+/// borrowed as-is.
+fn sole(reqs: &[AccessReq], kind: AccessKind) -> Option<&AccessReq> {
+    let mut of_kind = reqs.iter().filter(|r| r.kind == kind);
+    match (of_kind.next(), of_kind.next()) {
+        (Some(only), None) => {
+            debug_assert!(runs_coalesced(&only.runs));
+            Some(only)
         }
+        _ => None,
     }
+}
+
+/// Merge the put requests into one sorted run list + staging buffer, later
+/// requests winning overlaps. A single put needs no merge at all:
+/// its runs and staged buffer are borrowed as-is (zero copies).
+fn merge_puts(reqs: &[AccessReq]) -> (Cow<'_, [Run]>, Cow<'_, [u8]>) {
+    if let Some(only) = sole(reqs, AccessKind::Put) {
+        return (Cow::Borrowed(&only.runs), Cow::Borrowed(&only.buffer));
+    }
+    let puts = || reqs.iter().filter(|r| r.kind == AccessKind::Put);
     let mut stage = RunStage::default();
-    let sources: Vec<&[u8]> = puts.iter().map(|r| r.buffer.as_slice()).collect();
-    for (src, req) in puts.iter().enumerate() {
+    let sources: Vec<&[u8]> = puts().map(|r| r.buffer.as_slice()).collect();
+    for (src, req) in puts().enumerate() {
         let mut pos = 0u64;
         for &(off, len) in &req.runs {
             stage.insert(off, len, src, pos);
@@ -169,11 +185,15 @@ fn merge_puts(reqs: &[AccessReq]) -> (Vec<Run>, std::borrow::Cow<'_, [u8]>) {
         }
     }
     let (runs, staging) = stage.into_merged_with(&sources);
-    (runs, std::borrow::Cow::Owned(staging))
+    (Cow::Owned(runs), Cow::Owned(staging))
 }
 
-/// Union of all get requests' runs: sorted, coalesced coverage.
-fn merge_gets(reqs: &[AccessReq]) -> Vec<Run> {
+/// Union of all get requests' runs: sorted, coalesced coverage. A single
+/// get is its own coverage (borrowed).
+fn merge_gets(reqs: &[AccessReq]) -> Cow<'_, [Run]> {
+    if let Some(only) = sole(reqs, AccessKind::Get) {
+        return Cow::Borrowed(&only.runs);
+    }
     let mut all: Vec<Run> = reqs
         .iter()
         .filter(|r| r.kind == AccessKind::Get)
@@ -191,7 +211,7 @@ fn merge_gets(reqs: &[AccessReq]) -> Vec<Run> {
         }
         out.push((off, len));
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Byte position of each coverage run inside the packed coverage buffer.
@@ -208,9 +228,8 @@ fn coverage_positions(cov: &[Run]) -> Vec<u64> {
 /// Extract one request's bytes (in its own run order) from the packed
 /// coverage buffer. Every request run lies inside exactly one coverage run
 /// because the coverage is the coalesced union of all request runs.
-fn extract_runs(cov: &[Run], pos: &[u64], data: &[u8], runs: &[Run]) -> Vec<u8> {
-    let total: u64 = runs.iter().map(|r| r.1).sum();
-    let mut out = Vec::with_capacity(total as usize);
+pub(crate) fn extract_runs(cov: &[Run], pos: &[u64], data: &[u8], runs: &[Run]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(runs_total(runs) as usize);
     for &(off, len) in runs {
         let i = cov.partition_point(|&(o, _)| o <= off) - 1;
         let p = (pos[i] + (off - cov[i].0)) as usize;
@@ -219,14 +238,8 @@ fn extract_runs(cov: &[Run], pos: &[u64], data: &[u8], runs: &[Run]) -> Vec<u8> 
     out
 }
 
-/// The agreed (or local, in independent mode) server index when `res` is
-/// the failover-eligible lost-server verdict, `None` otherwise.
-pub(crate) fn agreed_server_lost<T>(res: &NcmpiResult<T>) -> Option<usize> {
-    match res {
-        Err(NcmpiError::Mpio(MpioError::ServerLost { server, .. })) => Some(*server),
-        _ => None,
-    }
-}
+/// One get's external bytes in its own run order, or the error that ended it.
+type GetResult = NcmpiResult<Vec<u8>>;
 
 // ---- the engine ------------------------------------------------------------
 
@@ -277,134 +290,109 @@ impl Dataset {
         Ok(())
     }
 
-    /// Lower a write access: validate, resolve to file runs, and freeze the
-    /// staged external bytes. Grows the local record count and invalidates
-    /// the variable's prefetch cache, so later accesses in the same batch
-    /// see the post-write state.
-    pub(crate) fn lower_put(
-        &mut self,
+    /// Typed put staging, blocking and nonblocking alike: check that the
+    /// dataset is writable and the value count, and convert native values
+    /// to external bytes. The conversion is real CPU work and is charged
+    /// as such.
+    pub(crate) fn stage_typed<T: NcValue>(
+        &self,
         varid: usize,
-        start: &[u64],
         count: &[u64],
-        stride: Option<&[u64]>,
-        ext: Vec<u8>,
-    ) -> NcmpiResult<AccessReq> {
+        vals: &[T],
+    ) -> NcmpiResult<Vec<u8>> {
         self.require_writable()?;
-        let nctype = self.var_nctype(varid)?;
-        let (runs, total) = self.build_region(varid, start, count, stride, true)?;
-        if total as usize != ext.len() {
+        let n: u64 = count.iter().product();
+        if n as usize != vals.len() {
             return Err(NcmpiError::InvalidArgument(format!(
-                "access selects {total} bytes but the staged buffer holds {}",
-                ext.len()
+                "value buffer has {} elements, access selects {n}",
+                vals.len()
             )));
         }
-        self.grow_numrecs(varid, start, count, stride);
-        self.invalidate_cache(varid);
-        Ok(AccessReq {
-            id: Request::NULL,
-            varid,
-            kind: AccessKind::Put,
-            runs,
-            buffer: ext,
-            nctype,
-            record: self.header.is_record_var(varid),
-            trace_id: 0,
-            queued: Time::ZERO,
-        })
+        let ext = to_external(vals, self.var_nctype(varid)?)?;
+        self.comm
+            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
+        Ok(ext)
     }
 
-    /// Lower a read access: validate against the current record count and
-    /// resolve to file runs.
-    pub(crate) fn lower_get(
+    /// Lower an access: validate it, resolve it to file runs and freeze it
+    /// as a request — a put when `staged` carries its external bytes, a get
+    /// otherwise. A read is validated against the current record count; a
+    /// write grows the local record count and invalidates the variable's
+    /// prefetch cache, so later accesses in the same batch see the
+    /// post-write state.
+    pub(crate) fn lower(
         &mut self,
         varid: usize,
         start: &[u64],
         count: &[u64],
         stride: Option<&[u64]>,
+        staged: Option<Vec<u8>>,
     ) -> NcmpiResult<AccessReq> {
         let nctype = self.var_nctype(varid)?;
-        let (runs, _total) = self.build_region(varid, start, count, stride, false)?;
+        let h = &self.header;
+        let limit = staged.is_none().then_some(h.numrecs);
+        layout::check_access(h, varid, start, count, stride, limit)?;
+        let runs = layout::access_runs(h, self.layout.recsize, varid, start, count, stride);
+        let total = runs_total(&runs);
+        let kind = match &staged {
+            Some(ext) if total as usize != ext.len() => {
+                return Err(NcmpiError::InvalidArgument(format!(
+                    "access selects {total} bytes but the staged buffer holds {}",
+                    ext.len()
+                )));
+            }
+            Some(_) => {
+                self.grow_numrecs(varid, start, count, stride);
+                self.invalidate_cache(varid);
+                AccessKind::Put
+            }
+            None => AccessKind::Get,
+        };
         Ok(AccessReq {
             id: Request::NULL,
             varid,
-            kind: AccessKind::Get,
+            kind,
             runs,
-            buffer: Vec::new(),
+            buffer: staged.unwrap_or_default(),
             nctype,
-            record: self.header.is_record_var(varid),
             trace_id: 0,
             queued: Time::ZERO,
         })
     }
 
-    /// Execute one put immediately (the blocking path).
-    pub(crate) fn execute_put_now(&mut self, req: &AccessReq, collective: bool) -> NcmpiResult<()> {
-        let events = self.comm.config().events.clone();
-        let rid = events.is_enabled().then(|| events.next_id());
-        let t0 = self.comm.now();
-        {
-            let _ctx = rid.map(|r| TraceCtx::enter(self.comm.world_rank(), r));
-            if collective {
-                self.file.write_runs_at_all(&req.runs, &req.buffer)?;
-                if req.record {
-                    self.reconcile_numrecs()?;
-                }
-            } else {
-                self.file.write_runs_at(&req.runs, &req.buffer)?;
-            }
+    /// Complete one blocking access as a queue of one. A collective call
+    /// first agrees on the lowering, so a rank that failed validation never
+    /// leaves the others alone in the data collective. Returns a get's
+    /// external type and bytes (no bytes for a put).
+    pub(crate) fn complete_one(
+        &mut self,
+        lowered: NcmpiResult<AccessReq>,
+        collective: bool,
+    ) -> NcmpiResult<(NcType, Vec<u8>)> {
+        let req = if collective {
+            self.agree(lowered)?
+        } else {
+            lowered?
+        };
+        let put = req.kind == AccessKind::Put;
+        let (done, got) = self.complete(std::slice::from_ref(&req), put, !put, collective);
+        done?;
+        if put && collective && self.header.is_record_var(req.varid) {
+            self.reconcile_numrecs()?;
         }
-        if let Some(r) = rid {
-            events.record(
-                Span::new(
-                    self.comm.world_rank(),
-                    layer::CORE,
-                    "put",
-                    t0.as_nanos(),
-                    self.comm.now().as_nanos(),
-                )
-                .with_id(r)
-                .with_arg("bytes", req.buffer.len() as u64),
-            );
-        }
-        self.profile
-            .record(req.varid, true, false, req.buffer.len() as u64);
-        Ok(())
+        let ext = got.into_iter().next().transpose()?.unwrap_or_default();
+        Ok((req.nctype, ext))
     }
 
-    /// Execute one get immediately (the blocking path); returns the
-    /// external bytes of the selection in run order.
-    pub(crate) fn execute_get_now(
-        &mut self,
-        req: &AccessReq,
-        collective: bool,
-    ) -> NcmpiResult<Vec<u8>> {
-        let events = self.comm.config().events.clone();
-        let rid = events.is_enabled().then(|| events.next_id());
-        let t0 = self.comm.now();
-        let data = {
-            let _ctx = rid.map(|r| TraceCtx::enter(self.comm.world_rank(), r));
-            if collective {
-                self.file.read_runs_at_all(&req.runs)?
-            } else {
-                self.file.read_runs_at(&req.runs)?
-            }
-        };
-        if let Some(r) = rid {
-            events.record(
-                Span::new(
-                    self.comm.world_rank(),
-                    layer::CORE,
-                    "get",
-                    t0.as_nanos(),
-                    self.comm.now().as_nanos(),
-                )
-                .with_id(r)
-                .with_arg("bytes", data.len() as u64),
-            );
-        }
-        self.profile
-            .record(req.varid, false, false, data.len() as u64);
-        Ok(data)
+    /// The typed get tail: charge the external→native conversion and
+    /// convert.
+    pub(crate) fn ext_to_values<T: NcValue>(
+        &self,
+        (nctype, ext): (NcType, Vec<u8>),
+    ) -> NcmpiResult<Vec<T>> {
+        self.comm
+            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
+        Ok(from_external(&ext, nctype)?)
     }
 
     pub(crate) fn enqueue(&mut self, mut req: AccessReq) -> Request {
@@ -428,12 +416,8 @@ impl Dataset {
         vals: &[T],
     ) -> NcmpiResult<Request> {
         self.require_data_mode()?;
-        self.check_count(count, vals.len())?;
-        let nctype = self.var_nctype(varid)?;
-        let ext = to_external(vals, nctype)?;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        let req = self.lower_put(varid, start, count, stride, ext)?;
+        let ext = self.stage_typed(varid, count, vals)?;
+        let req = self.lower(varid, start, count, stride, Some(ext))?;
         Ok(self.enqueue(req))
     }
 
@@ -445,7 +429,7 @@ impl Dataset {
         stride: Option<&[u64]>,
     ) -> NcmpiResult<Request> {
         self.require_data_mode()?;
-        let req = self.lower_get(varid, start, count, stride)?;
+        let req = self.lower(varid, start, count, stride, None)?;
         Ok(self.enqueue(req))
     }
 
@@ -505,22 +489,8 @@ impl Dataset {
         memtype: &Datatype,
     ) -> NcmpiResult<Request> {
         self.require_data_mode()?;
-        let (nctype, _) = self.flexible_common(varid, count, bufcount, memtype)?;
-        // Fused gather+convert: one pass instead of pack-then-swap. The
-        // simulator still charges both steps — the datatype walk and the
-        // endianness conversion are real work; only the extra buffer is gone.
-        let ext = convert::pack_to_external(buf, bufcount, memtype, nctype)?;
-        self.comm
-            .config()
-            .profile
-            .record_bytepath(|b| b.fused_pack_bytes += ext.len() as u64);
-        if !memtype.is_contiguous() {
-            self.comm
-                .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        }
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        let req = self.lower_put(varid, start, count, None, ext)?;
+        let ext = self.stage_flexible(varid, count, buf, bufcount, memtype)?;
+        let req = self.lower(varid, start, count, None, Some(ext))?;
         Ok(self.enqueue(req))
     }
 
@@ -536,8 +506,8 @@ impl Dataset {
         memtype: &Datatype,
     ) -> NcmpiResult<Request> {
         self.require_data_mode()?;
-        self.flexible_common(varid, count, bufcount, memtype)?;
-        let req = self.lower_get(varid, start, count, None)?;
+        self.check_flexible(varid, count, bufcount, memtype)?;
+        let req = self.lower(varid, start, count, None, None)?;
         Ok(self.enqueue(req))
     }
 
@@ -580,16 +550,18 @@ impl Dataset {
         self.pending.len()
     }
 
+    /// Consume a completed get's stored result.
+    fn take_completed(&mut self, req: Request) -> NcmpiResult<(NcType, Vec<u8>)> {
+        self.results
+            .remove(&req.id())
+            .ok_or_else(|| NcmpiError::NotFound(format!("completed request {req:?}")))?
+    }
+
     /// Retrieve (and consume) a completed get's values. A get whose flush
     /// failed yields the per-request error recorded at flush time.
     pub fn take_result<T: NcValue>(&mut self, req: Request) -> NcmpiResult<Vec<T>> {
-        let (nctype, ext) = self
-            .results
-            .remove(&req.id())
-            .ok_or_else(|| NcmpiError::NotFound(format!("completed request {req:?}")))??;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        Ok(from_external(&ext, nctype)?)
+        let got = self.take_completed(req)?;
+        self.ext_to_values(got)
     }
 
     /// Retrieve (and consume) a completed get's bytes into a flexible-API
@@ -601,19 +573,8 @@ impl Dataset {
         bufcount: usize,
         memtype: &Datatype,
     ) -> NcmpiResult<()> {
-        let (nctype, ext) = self
-            .results
-            .remove(&req.id())
-            .ok_or_else(|| NcmpiError::NotFound(format!("completed request {req:?}")))??;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        self.comm
-            .config()
-            .profile
-            .record_bytepath(|b| b.fused_unpack_bytes += ext.len() as u64);
-        // Fused convert+scatter: one pass instead of swap-then-unpack.
-        convert::unpack_from_external(&ext, buf, bufcount, memtype, nctype)?;
-        Ok(())
+        let got = self.take_completed(req)?;
+        self.ext_to_memory(got, buf, bufcount, memtype)
     }
 
     // ---- waiting ------------------------------------------------------------
@@ -631,28 +592,16 @@ impl Dataset {
         let local = [
             reqs.iter().any(|r| r.kind == AccessKind::Put) as u64,
             reqs.iter().any(|r| r.kind == AccessKind::Get) as u64,
-            reqs.iter().any(|r| r.kind == AccessKind::Put && r.record) as u64,
+            reqs.iter()
+                .any(|r| r.kind == AccessKind::Put && self.header.is_record_var(r.varid))
+                as u64,
         ];
         let global = self.comm.allreduce(ReduceOp::Max, &local)?;
-        // The queue is already drained (`mem::take`) and `flush_merged`
-        // records a per-request error result for every get it could not
-        // serve, so even a failed flush leaves no stale requests behind.
-        let flushed = self.flush_merged(&reqs, global[0] != 0, global[1] != 0, true);
-        let mut flushed = self.agree(flushed);
-        // Server failover: when the *agreed* outcome is a lost-but-
-        // coverable server, every rank — driven by the same agreed error,
-        // so at the same operation — marks it down (idempotently) and the
-        // whole collective retries once in degraded mode. Puts re-issue
-        // the same bytes (idempotent); gets overwrite their error results.
-        if let Some(server) = agreed_server_lost(&flushed) {
-            self.file.raw().mark_server_down(server);
-            let retried = self.flush_merged(&reqs, global[0] != 0, global[1] != 0, true);
-            flushed = self.agree(retried);
-        }
-        if flushed.is_ok() && global[2] != 0 {
+        let done = self.complete_queue(reqs, global[0] != 0, global[1] != 0, true);
+        if done.is_ok() && global[2] != 0 {
             self.reconcile_numrecs()?;
         }
-        flushed
+        done
     }
 
     /// Independently complete every pending request (`ncmpi_wait`).
@@ -661,165 +610,184 @@ impl Dataset {
         let reqs = std::mem::take(&mut self.pending);
         let do_puts = reqs.iter().any(|r| r.kind == AccessKind::Put);
         let do_gets = reqs.iter().any(|r| r.kind == AccessKind::Get);
-        let flushed = self.flush_merged(&reqs, do_puts, do_gets, false);
-        // Independent-mode failover: no agreement round — the shared mark
-        // is idempotent, so whichever rank escalates first flips it and
-        // the others find it already down.
-        if let Some(server) = agreed_server_lost(&flushed) {
-            self.file.raw().mark_server_down(server);
-            return self.flush_merged(&reqs, do_puts, do_gets, false);
-        }
-        flushed
+        self.complete_queue(reqs, do_puts, do_gets, false)
     }
 
-    /// Merge and issue the pending queue: at most one write and one read.
-    /// Writes flush first, so a get queued after a put of the same region
-    /// observes the new data.
+    /// Complete a drained queue and store every get's result for
+    /// `take_result` — errors included, so a failed flush leaves no stale
+    /// requests behind.
+    fn complete_queue(
+        &mut self,
+        reqs: Vec<AccessReq>,
+        do_puts: bool,
+        do_gets: bool,
+        collective: bool,
+    ) -> NcmpiResult<()> {
+        let (done, got) = self.complete(&reqs, do_puts, do_gets, collective);
+        let gets = reqs.iter().filter(|r| r.kind == AccessKind::Get);
+        for (req, res) in gets.zip(got) {
+            self.results
+                .insert(req.id.id(), res.map(|ext| (req.nctype, ext)));
+        }
+        done
+    }
+
+    /// The one completion path every data access takes, blocking calls as
+    /// a queue of one: flush the queue, agree on the outcome when
+    /// collective, and on a lost-but-coverable server fail over once.
+    /// Returns the outcome and one result per queued get, in queue order.
+    fn complete(
+        &mut self,
+        reqs: &[AccessReq],
+        do_puts: bool,
+        do_gets: bool,
+        collective: bool,
+    ) -> (NcmpiResult<()>, Vec<GetResult>) {
+        let (mut done, mut got) = self.flush_merged(reqs, do_puts, do_gets, collective);
+        if collective {
+            done = self.agree(done);
+        }
+        // Server failover. Collectively, every rank is driven by the same
+        // agreed error, so all mark the server down (idempotently) at the
+        // same operation; independently there is no agreement round and
+        // whichever rank escalates first flips the shared mark. The queue
+        // then runs once more in degraded mode: puts re-issue the same
+        // bytes (idempotent), gets replace their error results.
+        if let Err(NcmpiError::Mpio(MpioError::ServerLost { server, .. })) = done {
+            self.file.raw().mark_server_down(server);
+            (done, got) = self.flush_merged(reqs, do_puts, do_gets, collective);
+            if collective {
+                done = self.agree(done);
+            }
+        }
+        (done, got)
+    }
+
+    /// Merge and issue the queue: at most one write and one read. Writes
+    /// flush first, so a get queued after a put of the same region observes
+    /// the new data.
     fn flush_merged(
         &mut self,
         reqs: &[AccessReq],
         do_puts: bool,
         do_gets: bool,
         collective: bool,
-    ) -> NcmpiResult<()> {
-        let events = self.comm.config().events.clone();
-        let tracing = events.is_enabled();
-        let rank = self.comm.world_rank();
-        let mut failure: Option<NcmpiError> = None;
+    ) -> (NcmpiResult<()>, Vec<GetResult>) {
+        let of_kind = |kind| reqs.iter().filter(move |r: &&AccessReq| r.kind == kind);
+        // A failed write or read completes every queued get with its error.
+        let fail = |e: MpioError| {
+            let e = NcmpiError::from(e);
+            let got = of_kind(AccessKind::Get).map(|_| Err(e.clone())).collect();
+            (Err(e), got)
+        };
         if do_puts {
             let (runs, staging) = merge_puts(reqs);
-            if matches!(staging, std::borrow::Cow::Borrowed(_)) {
-                self.comm.config().profile.record_bytepath(|b| {
+            match staging {
+                Cow::Borrowed(_) => self.comm.config().profile.record_bytepath(|b| {
                     b.copies_elided += 1;
                     b.borrowed_bytes += staging.len() as u64;
-                });
+                }),
+                // Merging N staged buffers into one is memcpy work.
+                Cow::Owned(_) => {
+                    self.comm
+                        .advance(self.comm.config().cpu.pack(staging.len(), 1.0));
+                }
             }
-            // Merging N staged buffers into one is memcpy work.
-            self.comm
-                .advance(self.comm.config().cpu.pack(staging.len(), 1.0));
-            let rid = if tracing { events.next_id() } else { 0 };
-            let t0 = self.comm.now();
-            let wrote = {
-                let _ctx = tracing.then(|| TraceCtx::enter(rank, rid));
+            let wrote = self.issue(AccessKind::Put, reqs, &runs, |f| {
                 if collective {
-                    self.file.write_runs_at_all(&runs, &staging).map(|_| ())
+                    f.write_runs_at_all(&runs, &staging)
                 } else {
-                    self.file.write_runs_at(&runs, &staging).map(|_| ())
+                    f.write_runs_at(&runs, &staging)
                 }
-            };
-            if tracing {
-                let t1 = self.comm.now();
-                let nputs = reqs.iter().filter(|r| r.kind == AccessKind::Put).count();
-                events.record(
-                    Span::new(rank, layer::CORE, "flush_put", t0.as_nanos(), t1.as_nanos())
-                        .with_id(rid)
-                        .with_arg("reqs", nputs as u64)
-                        .with_arg("bytes", staging.len() as u64),
-                );
-                // One span per queued request: queue time through the merged
-                // flush that carried its bytes, linked to the flush span.
-                for req in reqs.iter().filter(|r| r.kind == AccessKind::Put) {
-                    if req.trace_id == 0 {
-                        continue;
-                    }
-                    events.record(
-                        Span::new(
-                            rank,
-                            layer::CORE,
-                            "iput",
-                            req.queued.as_nanos(),
-                            t1.as_nanos(),
-                        )
-                        .with_id(req.trace_id)
-                        .with_parent(rid)
-                        .with_arg("bytes", req.buffer.len() as u64),
-                    );
-                }
+            });
+            if let Err(e) = wrote {
+                return fail(e);
             }
-            match wrote {
-                Ok(()) => {
-                    // Attribute per queued request (pre-merge sizes), so the
-                    // same workload reports the same put_size via either
-                    // access mode.
-                    for req in reqs.iter().filter(|r| r.kind == AccessKind::Put) {
-                        self.profile
-                            .record(req.varid, true, true, req.buffer.len() as u64);
-                    }
-                }
-                Err(e) => failure = Some(e.into()),
+            // Attribute per queued request (pre-merge sizes), so the same
+            // workload reports the same put_size via either access mode.
+            for req in of_kind(AccessKind::Put) {
+                let nonblocking = req.id != Request::NULL;
+                self.profile
+                    .record(req.varid, true, nonblocking, req.buffer.len() as u64);
             }
         }
-        if do_gets {
-            if let Some(e) = failure.clone() {
-                // The write flush already failed: complete every queued get
-                // with that error rather than attempting the read, so the
-                // drained queue reports per-request outcomes.
-                for req in reqs.iter().filter(|r| r.kind == AccessKind::Get) {
-                    self.results.insert(req.id.id(), Err(e.clone()));
-                }
+        if !do_gets {
+            return (Ok(()), Vec::new());
+        }
+        let cov = merge_gets(reqs);
+        let read = self.issue(AccessKind::Get, reqs, &cov, |f| {
+            if collective {
+                f.read_runs_at_all(&cov)
             } else {
-                let cov = merge_gets(reqs);
-                let rid = if tracing { events.next_id() } else { 0 };
-                let t0 = self.comm.now();
-                let read = {
-                    let _ctx = tracing.then(|| TraceCtx::enter(rank, rid));
-                    if collective {
-                        self.file.read_runs_at_all(&cov)
-                    } else {
-                        self.file.read_runs_at(&cov)
-                    }
-                };
-                if tracing {
-                    let t1 = self.comm.now();
-                    let ngets = reqs.iter().filter(|r| r.kind == AccessKind::Get).count();
-                    let bytes: u64 = cov.iter().map(|r| r.1).sum();
-                    events.record(
-                        Span::new(rank, layer::CORE, "flush_get", t0.as_nanos(), t1.as_nanos())
-                            .with_id(rid)
-                            .with_arg("reqs", ngets as u64)
-                            .with_arg("bytes", bytes),
-                    );
-                    for req in reqs.iter().filter(|r| r.kind == AccessKind::Get) {
-                        if req.trace_id == 0 {
-                            continue;
-                        }
-                        events.record(
-                            Span::new(
-                                rank,
-                                layer::CORE,
-                                "iget",
-                                req.queued.as_nanos(),
-                                t1.as_nanos(),
-                            )
-                            .with_id(req.trace_id)
-                            .with_parent(rid),
-                        );
-                    }
-                }
-                match read {
-                    Ok(data) => {
-                        let pos = coverage_positions(&cov);
-                        for req in reqs.iter().filter(|r| r.kind == AccessKind::Get) {
-                            let bytes = extract_runs(&cov, &pos, &data, &req.runs);
-                            self.profile
-                                .record(req.varid, false, true, bytes.len() as u64);
-                            self.results.insert(req.id.id(), Ok((req.nctype, bytes)));
-                        }
-                    }
-                    Err(e) => {
-                        let e: NcmpiError = e.into();
-                        for req in reqs.iter().filter(|r| r.kind == AccessKind::Get) {
-                            self.results.insert(req.id.id(), Err(e.clone()));
-                        }
-                        failure = Some(e);
-                    }
-                }
+                f.read_runs_at(&cov)
             }
+        });
+        let data = match read {
+            Ok(data) => data,
+            Err(e) => return fail(e),
+        };
+        let got: Vec<GetResult> = match cov {
+            // A single get is its own coverage: it takes the read buffer
+            // whole instead of a copy of it.
+            Cow::Borrowed(_) => vec![Ok(data)],
+            Cow::Owned(cov) => {
+                let pos = coverage_positions(&cov);
+                of_kind(AccessKind::Get)
+                    .map(|req| Ok(extract_runs(&cov, &pos, &data, &req.runs)))
+                    .collect()
+            }
+        };
+        for (req, bytes) in of_kind(AccessKind::Get).zip(&got) {
+            let nonblocking = req.id != Request::NULL;
+            let len = bytes.as_ref().map_or(0, Vec::len) as u64;
+            self.profile.record(req.varid, false, nonblocking, len);
         }
-        match failure {
-            None => Ok(()),
-            Some(e) => Err(e),
+        (Ok(()), got)
+    }
+
+    /// Run one merged flush of `runs` under a fresh trace id, recording its
+    /// `flush_put`/`flush_get` span and, linked to it, one `iput`/`iget`
+    /// span per queued request from its queue time (blocking requests
+    /// carry no trace id and get none).
+    fn issue<R>(
+        &self,
+        kind: AccessKind,
+        reqs: &[AccessReq],
+        runs: &[Run],
+        io: impl FnOnce(&MpiFile) -> R,
+    ) -> R {
+        let events = &self.comm.config().events;
+        if !events.is_enabled() {
+            return io(&self.file);
         }
+        let rank = self.comm.world_rank();
+        let rid = events.next_id();
+        let t0 = self.comm.now().as_nanos();
+        let out = {
+            let _ctx = TraceCtx::enter(rank, rid);
+            io(&self.file)
+        };
+        let t1 = self.comm.now().as_nanos();
+        let (flush, each) = match kind {
+            AccessKind::Put => ("flush_put", "iput"),
+            AccessKind::Get => ("flush_get", "iget"),
+        };
+        let carried = || reqs.iter().filter(|r| r.kind == kind);
+        events.record(
+            Span::new(rank, layer::CORE, flush, t0, t1)
+                .with_id(rid)
+                .with_arg("reqs", carried().count() as u64)
+                .with_arg("bytes", runs_total(runs)),
+        );
+        for req in carried().filter(|r| r.trace_id != 0) {
+            events.record(
+                Span::new(rank, layer::CORE, each, req.queued.as_nanos(), t1)
+                    .with_id(req.trace_id)
+                    .with_parent(rid)
+                    .with_arg("bytes", runs_total(&req.runs)),
+            );
+        }
+        out
     }
 }
 
@@ -882,18 +850,21 @@ mod tests {
         assert_eq!(data, vec![10, 11, 12, 99, 99, 99, 99, 17, 18, 19]);
     }
 
-    fn put_req(runs: Vec<Run>, buffer: Vec<u8>) -> AccessReq {
+    fn req(kind: AccessKind, runs: Vec<Run>, buffer: Vec<u8>) -> AccessReq {
         AccessReq {
             id: Request::NULL,
             varid: 0,
-            kind: AccessKind::Put,
+            kind,
             runs,
             buffer,
             nctype: NcType::Byte,
-            record: false,
             trace_id: 0,
             queued: Time::ZERO,
         }
+    }
+
+    fn put_req(runs: Vec<Run>, buffer: Vec<u8>) -> AccessReq {
+        req(AccessKind::Put, runs, buffer)
     }
 
     #[test]
@@ -921,29 +892,10 @@ mod tests {
 
     #[test]
     fn get_coverage_merges_and_extracts() {
-        let a = AccessReq {
-            id: Request::NULL,
-            varid: 0,
-            kind: AccessKind::Get,
-            runs: vec![(0, 4), (10, 2)],
-            buffer: Vec::new(),
-            nctype: NcType::Byte,
-            record: false,
-            trace_id: 0,
-            queued: Time::ZERO,
-        };
-        let b = AccessReq {
-            id: Request::NULL,
-            varid: 1,
-            kind: AccessKind::Get,
-            runs: vec![(2, 4)],
-            buffer: Vec::new(),
-            nctype: NcType::Byte,
-            record: false,
-            trace_id: 0,
-            queued: Time::ZERO,
-        };
-        let cov = merge_gets(&[a, b]);
+        let a = req(AccessKind::Get, vec![(0, 4), (10, 2)], Vec::new());
+        let b = req(AccessKind::Get, vec![(2, 4)], Vec::new());
+        let reqs = [a, b];
+        let cov = merge_gets(&reqs);
         assert_eq!(cov, vec![(0, 6), (10, 2)]);
         let pos = coverage_positions(&cov);
         // Coverage bytes: offsets 0..6 then 10..12.

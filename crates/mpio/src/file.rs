@@ -5,7 +5,7 @@ use std::sync::Arc;
 use hpc_sim::trace::events::layer;
 use hpc_sim::{CollKind, Phase, PhaseScope, Span, Time, TraceCtx};
 use parking_lot::Mutex;
-use pnetcdf_mpi::{pack, Comm, Datatype, Info};
+use pnetcdf_mpi::{pack, CollEnv, Comm, Datatype, Info};
 use pnetcdf_pfs::{Pfs, PfsFile};
 
 use crate::cache::{CacheConfig, CacheLedger, PageCache};
@@ -550,32 +550,10 @@ impl MpiFile {
                     } else {
                         // Collective buffering disabled: every rank writes its
                         // own pieces independently (the ablation baseline).
-                        let profile = &env.config.profile;
-                        let events = &env.config.events;
-                        for (i, (runs, data)) in reqs.iter().enumerate() {
-                            let w = env.group[i];
-                            let _ctx = events.is_enabled().then(|| TraceCtx::enter(w, ids[i]));
-                            let before = env.clocks.now(w);
-                            let t = sieve::write(&file, wr_buf, ds, before, runs, data)?;
-                            profile.record_phase(
-                                w,
-                                Phase::DiskWrite,
-                                t.saturating_sub(before).as_nanos(),
-                            );
-                            if events.is_enabled() && t > before {
-                                events.record(
-                                    Span::new(
-                                        w,
-                                        layer::MPIO,
-                                        "ind_write",
-                                        before.as_nanos(),
-                                        t.as_nanos(),
-                                    )
-                                    .with_parent(ids[i]),
-                                );
-                            }
-                            env.clocks.advance_to(w, t);
-                        }
+                        each_rank_alone(&env, &ids, Phase::DiskWrite, "ind_write", |i, t| {
+                            let (runs, data) = &reqs[i];
+                            Ok(((), sieve::write(&file, wr_buf, ds, t, runs, data)?))
+                        })?;
                     }
                     // The file changed under every client cache: advance the
                     // epoch once (the closure runs at the last arriver).
@@ -623,9 +601,11 @@ impl MpiFile {
             self.hints.ds_read.resolve(true),
         );
         let me = self.comm.rank();
-        let res: Arc<MpioResult<Vec<Vec<u8>>>> =
+        // One slot per rank, each taken once by its owner: the shared
+        // result hands every rank its own bytes without a copy.
+        let res: Arc<MpioResult<Vec<Mutex<Vec<u8>>>>> =
             self.comm
-                .collective(vec![parcel], move |mut deps| -> MpioResult<Vec<Vec<u8>>> {
+                .collective(vec![parcel], move |mut deps| -> MpioResult<_> {
                     let mut reqs: Vec<Vec<Run>> = Vec::with_capacity(deps.len());
                     let mut ids: Vec<u64> = Vec::with_capacity(deps.len());
                     for d in deps.iter_mut() {
@@ -634,46 +614,52 @@ impl MpiFile {
                         reqs.push(r);
                         ids.push(id);
                     }
-                    if cb {
-                        Ok(twophase::read_all(&env, &file, &p, &reqs, &ids)?.0)
+                    let outs = if cb {
+                        twophase::read_all(&env, &file, &p, &reqs, &ids)?.0
                     } else {
-                        let profile = &env.config.profile;
-                        let events = &env.config.events;
-                        let mut outs = Vec::with_capacity(reqs.len());
-                        for (i, runs) in reqs.iter().enumerate() {
-                            let w = env.group[i];
-                            let _ctx = events.is_enabled().then(|| TraceCtx::enter(w, ids[i]));
-                            let before = env.clocks.now(w);
-                            let (data, t) = sieve::read(&file, rd_buf, ds, before, runs)?;
-                            profile.record_phase(
-                                w,
-                                Phase::DiskRead,
-                                t.saturating_sub(before).as_nanos(),
-                            );
-                            if events.is_enabled() && t > before {
-                                events.record(
-                                    Span::new(
-                                        w,
-                                        layer::MPIO,
-                                        "ind_read",
-                                        before.as_nanos(),
-                                        t.as_nanos(),
-                                    )
-                                    .with_parent(ids[i]),
-                                );
-                            }
-                            env.clocks.advance_to(w, t);
-                            outs.push(data);
-                        }
-                        Ok(outs)
-                    }
+                        each_rank_alone(&env, &ids, Phase::DiskRead, "ind_read", |i, t| {
+                            sieve::read(&file, rd_buf, ds, t, &reqs[i])
+                        })?
+                    };
+                    Ok(outs.into_iter().map(Mutex::new).collect())
                 })?;
         let data = match &*res {
-            Ok(all) => all[me].clone(),
+            Ok(all) => std::mem::take(&mut *all[me].lock()),
             Err(e) => return Err(e.clone()),
         };
         self.cache_post();
         debug_assert_eq!(data.len() as u64, runs_total(runs));
         Ok(data)
     }
+}
+
+/// The `romio_cb_*=disable` fallback of a collective: each rank, in turn,
+/// accesses its own runs independently with data sieving. `access(i, t)`
+/// runs group member `i`'s access starting at its clock `t` and returns its
+/// output and completion time; the time is charged to that rank as `phase`
+/// and traced as a `span` under its request's trace id.
+fn each_rank_alone<T>(
+    env: &CollEnv,
+    ids: &[u64],
+    phase: Phase,
+    span: &'static str,
+    mut access: impl FnMut(usize, Time) -> MpioResult<(T, Time)>,
+) -> MpioResult<Vec<T>> {
+    let (profile, events) = (&env.config.profile, &env.config.events);
+    let mut outs = Vec::with_capacity(ids.len());
+    for (i, &id) in ids.iter().enumerate() {
+        let w = env.group[i];
+        let _ctx = events.is_enabled().then(|| TraceCtx::enter(w, id));
+        let before = env.clocks.now(w);
+        let (out, t) = access(i, before)?;
+        profile.record_phase(w, phase, t.saturating_sub(before).as_nanos());
+        if events.is_enabled() && t > before {
+            events.record(
+                Span::new(w, layer::MPIO, span, before.as_nanos(), t.as_nanos()).with_parent(id),
+            );
+        }
+        env.clocks.advance_to(w, t);
+        outs.push(out);
+    }
+    Ok(outs)
 }

@@ -7,7 +7,7 @@
 //! access past the crash window's restart rebuilds the server online.
 
 use hpc_sim::{FaultPlan, SimConfig, Time};
-use pnetcdf::{Dataset, Info, NcType, Version};
+use pnetcdf::{Dataset, Datatype, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -26,43 +26,61 @@ fn parity_info() -> Info {
     Info::new().with("pnc_parity", "enable")
 }
 
-/// The blocking collective path: a permanent crash mid-job completes
-/// degraded instead of exhausting, and the degraded read-back is exact.
+/// The blocking collective path, typed and flexible: a permanent crash
+/// mid-job completes degraded instead of exhausting, and the degraded
+/// read-back is exact.
 #[test]
 fn blocking_collective_survives_permanent_crash() {
-    let cfg = faulty_cfg("crash=server:0@t>1e9");
-    let profile = cfg.profile.clone();
-    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
-    let pfs2 = pfs.clone();
-    run_world(4, cfg, move |c| {
-        let mut ds = Dataset::create(c, &pfs2, "p.nc", Version::Cdf1, &parity_info()).unwrap();
-        let x = ds.def_dim("x", 4096).unwrap();
-        let v = ds.def_var("v", NcType::Float, &[x]).unwrap();
-        ds.enddef().unwrap();
-        // Past the outage start: the write must escalate to failover.
-        c.advance(Time::from_secs_f64(2.0));
-        let base = c.rank() as u64 * 1024;
-        let vals: Vec<f32> = (0..1024).map(|i| (base + i) as f32).collect();
-        ds.put_vara_all(v, &[base], &[1024], &vals)
-            .expect("parity must carry the write through the crash");
-        // Degraded read-back, shifted one rank over so every rank reads
-        // bytes another rank wrote through the redirect path.
-        let rb = ((c.rank() + 1) % 4) as u64 * 1024;
-        let got: Vec<f32> = ds.get_vara_all(v, &[rb], &[1024]).unwrap();
-        for (i, &g) in got.iter().enumerate() {
-            assert_eq!(g, (rb + i as u64) as f32);
-        }
-        ds.close().expect("close flushes through degraded mode too");
-    });
-    assert_eq!(pfs.down_server(), Some(0), "server 0 must be marked down");
-    let fo = profile.failover_counters();
-    assert_eq!(fo.epochs, 1, "exactly one agreed epoch: {fo:?}");
-    assert!(fo.redirected_writes > 0, "writes must redirect: {fo:?}");
-    assert!(fo.degraded_reads > 0, "reads must reconstruct: {fo:?}");
-    assert!(fo.parity_updates > 0, "parity must be maintained: {fo:?}");
-    let fc = profile.fault_counters();
-    assert!(fc.exhausted > 0, "the ladder exhausts before escalating");
-    assert!(fc.agreed_errors > 0, "ServerLost must be agreed: {fc:?}");
+    for flexible in [false, true] {
+        let cfg = faulty_cfg("crash=server:0@t>1e9");
+        let profile = cfg.profile.clone();
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        let pfs2 = pfs.clone();
+        run_world(4, cfg, move |c| {
+            let mut ds = Dataset::create(c, &pfs2, "p.nc", Version::Cdf1, &parity_info()).unwrap();
+            let x = ds.def_dim("x", 4096).unwrap();
+            let v = ds.def_var("v", NcType::Float, &[x]).unwrap();
+            ds.enddef().unwrap();
+            // Past the outage start: the write must escalate to failover.
+            c.advance(Time::from_secs_f64(2.0));
+            let base = c.rank() as u64 * 1024;
+            let vals: Vec<f32> = (0..1024).map(|i| (base + i) as f32).collect();
+            let mem = Datatype::contiguous(1024, Datatype::float());
+            let wrote = if flexible {
+                let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_ne_bytes()).collect();
+                ds.put_vara_all_flexible(v, &[base], &[1024], &bytes, 1, &mem)
+            } else {
+                ds.put_vara_all(v, &[base], &[1024], &vals)
+            };
+            wrote.expect("parity must carry the write through the crash");
+            // Degraded read-back, shifted one rank over so every rank reads
+            // bytes another rank wrote through the redirect path.
+            let rb = ((c.rank() + 1) % 4) as u64 * 1024;
+            let got: Vec<f32> = if flexible {
+                let mut buf = vec![0u8; 4096];
+                ds.get_vara_all_flexible(v, &[rb], &[1024], &mut buf, 1, &mem)
+                    .unwrap();
+                buf.chunks(4)
+                    .map(|b| f32::from_ne_bytes(b.try_into().unwrap()))
+                    .collect()
+            } else {
+                ds.get_vara_all(v, &[rb], &[1024]).unwrap()
+            };
+            for (i, &g) in got.iter().enumerate() {
+                assert_eq!(g, (rb + i as u64) as f32);
+            }
+            ds.close().expect("close flushes through degraded mode too");
+        });
+        assert_eq!(pfs.down_server(), Some(0), "server 0 must be marked down");
+        let fo = profile.failover_counters();
+        assert_eq!(fo.epochs, 1, "exactly one agreed epoch: {fo:?}");
+        assert!(fo.redirected_writes > 0, "writes must redirect: {fo:?}");
+        assert!(fo.degraded_reads > 0, "reads must reconstruct: {fo:?}");
+        assert!(fo.parity_updates > 0, "parity must be maintained: {fo:?}");
+        let fc = profile.fault_counters();
+        assert!(fc.exhausted > 0, "the ladder exhausts before escalating");
+        assert!(fc.agreed_errors > 0, "ServerLost must be agreed: {fc:?}");
+    }
 }
 
 /// The nonblocking/aggregated path (`iput` + `wait_all`), plus the online

@@ -7,7 +7,7 @@
 use std::sync::{Arc, Mutex};
 
 use hpc_sim::{FaultPlan, SimConfig, Time};
-use pnetcdf::{Dataset, Info, NcType, NcmpiError, Version};
+use pnetcdf::{Dataset, Datatype, Info, NcType, NcmpiError, Version};
 use pnetcdf_mpi::run_world;
 use pnetcdf_mpio::MpioError;
 use pnetcdf_pfs::{Pfs, StorageMode};
@@ -115,49 +115,69 @@ fn stalls_delay_but_do_not_fail() {
     assert_eq!(f.retries, 0, "stalls are not errors: {f:?}");
 }
 
-/// One rank passes an out-of-bounds region to a collective put: every rank
-/// — including the three whose arguments were fine — must return the same
-/// error, and nobody may hang waiting for the failed rank.
+/// One rank passes an out-of-bounds region to a collective access — typed
+/// put, flexible put, flexible get: every rank — including the three whose
+/// arguments were fine — must return the same error, and nobody may hang
+/// waiting for the failed rank.
 #[test]
 fn out_of_bounds_on_one_rank_yields_identical_error_everywhere() {
-    let cfg = faulty_cfg(""); // inert plan; profiling on for agreed_errors
-    let profile = cfg.profile.clone();
-    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
-    let errors: Arc<Mutex<Vec<(usize, String)>>> = Arc::new(Mutex::new(Vec::new()));
-    let errs2 = errors.clone();
-    run_world(4, cfg, move |c| {
-        let mut ds = Dataset::create(c, &pfs, "oob.nc", Version::Cdf1, &Info::new()).unwrap();
-        let x = ds.def_dim("x", 16).unwrap();
-        let v = ds.def_var("v", NcType::Int, &[x]).unwrap();
-        ds.enddef().unwrap();
+    for call in [
+        "put_vara_all",
+        "put_vara_all_flexible",
+        "get_vara_all_flexible",
+    ] {
+        let cfg = faulty_cfg(""); // inert plan; profiling on for agreed_errors
+        let profile = cfg.profile.clone();
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        let errors: Arc<Mutex<Vec<(usize, String)>>> = Arc::new(Mutex::new(Vec::new()));
+        let errs2 = errors.clone();
+        run_world(4, cfg, move |c| {
+            let mut ds = Dataset::create(c, &pfs, "oob.nc", Version::Cdf1, &Info::new()).unwrap();
+            let x = ds.def_dim("x", 16).unwrap();
+            let v = ds.def_var("v", NcType::Int, &[x]).unwrap();
+            ds.enddef().unwrap();
 
-        // Rank 2 reaches past the end of the dimension.
-        let start = if c.rank() == 2 {
-            100
-        } else {
-            c.rank() as u64 * 4
-        };
-        let err = ds.put_vara_all(v, &[start], &[4], &[7i32; 4]).unwrap_err();
-        errs2.lock().unwrap().push((c.rank(), format!("{err:?}")));
+            // Rank 2 reaches past the end of the dimension.
+            let start = if c.rank() == 2 {
+                100
+            } else {
+                c.rank() as u64 * 4
+            };
+            let mem = Datatype::contiguous(4, Datatype::int());
+            let mut buf = [0u8; 16];
+            let err = match call {
+                "put_vara_all" => ds.put_vara_all(v, &[start], &[4], &[7i32; 4]),
+                "put_vara_all_flexible" => {
+                    ds.put_vara_all_flexible(v, &[start], &[4], &buf, 1, &mem)
+                }
+                _ => ds.get_vara_all_flexible(v, &[start], &[4], &mut buf, 1, &mem),
+            }
+            .unwrap_err();
+            errs2.lock().unwrap().push((c.rank(), format!("{err:?}")));
 
-        // The dataset is still usable: a well-formed collective completes.
-        ds.put_vara_all(v, &[c.rank() as u64 * 4], &[4], &[1i32; 4])
-            .unwrap();
-        ds.close().unwrap();
-    });
-    let errs = errors.lock().unwrap();
-    assert_eq!(errs.len(), 4, "every rank must return from the collective");
-    for (rank, msg) in errs.iter() {
+            // The dataset is still usable: a well-formed collective completes.
+            ds.put_vara_all(v, &[c.rank() as u64 * 4], &[4], &[1i32; 4])
+                .unwrap();
+            ds.close().unwrap();
+        });
+        let errs = errors.lock().unwrap();
         assert_eq!(
-            msg, &errs[0].1,
-            "rank {rank} returned a different error than rank {}",
-            errs[0].0
+            errs.len(),
+            4,
+            "{call}: every rank must return from the collective"
+        );
+        for (rank, msg) in errs.iter() {
+            assert_eq!(
+                msg, &errs[0].1,
+                "{call}: rank {rank} returned a different error than rank {}",
+                errs[0].0
+            );
+        }
+        assert!(
+            profile.fault_counters().agreed_errors > 0,
+            "{call}: the agreement must be counted"
         );
     }
-    assert!(
-        profile.fault_counters().agreed_errors > 0,
-        "the agreement must be counted"
-    );
 }
 
 /// A permanently crashed server exhausts the retry budget in bounded

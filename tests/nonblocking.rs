@@ -420,3 +420,138 @@ fn whole_variable_length_mismatch_errors() {
         ds.close().unwrap();
     });
 }
+
+/// Per-rank virtual nanoseconds one access path takes on a 4-rank
+/// `test_small` world: an 8×64 `int` array (two rows per rank, written
+/// before the clock starts) plus a record variable. Independent calls take
+/// turns between barriers so the shared servers see them in rank order.
+fn path_clock(path: &'static str) -> Vec<u64> {
+    let cfg = SimConfig::test_small();
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let run = run_world(4, cfg, move |c| {
+        let mut ds = Dataset::create(c, &pfs, "g.nc", Version::Cdf1, &Info::new()).unwrap();
+        let t = ds.def_dim("t", 0).unwrap();
+        let y = ds.def_dim("y", 8).unwrap();
+        let x = ds.def_dim("x", 64).unwrap();
+        let v = ds.def_var("v", NcType::Int, &[y, x]).unwrap();
+        let r = ds.def_var("r", NcType::Float, &[t, x]).unwrap();
+        ds.enddef().unwrap();
+        let rank = c.rank() as u64;
+        let (row, peer) = (rank * 2, (rank + 1) % 4 * 2);
+        let vals =
+            |row: u64, n: u64| -> Vec<i32> { (0..n).map(|i| (row * 64 + i) as i32).collect() };
+        ds.put_vara_all(v, &[row, 0], &[2, 64], &vals(row, 128))
+            .unwrap();
+        let mem = Datatype::contiguous(128, Datatype::int());
+        let indep = matches!(path, "put_vara" | "get_vars" | "wait");
+        if indep {
+            ds.begin_indep_data().unwrap();
+        }
+        c.barrier().unwrap();
+        let access = |ds: &mut Dataset| match path {
+            "put_vara_all" => ds
+                .put_vara_all(v, &[row, 0], &[2, 64], &vals(row, 128))
+                .unwrap(),
+            "get_vara_all" => {
+                let got: Vec<i32> = ds.get_vara_all(v, &[peer, 0], &[2, 64]).unwrap();
+                assert_eq!(got, vals(peer, 128));
+            }
+            "put_vara" => ds.put_vara(v, &[row, 8], &[2, 16], &[7i32; 32]).unwrap(),
+            "get_vars" => {
+                let got: Vec<i32> = ds.get_vars(v, &[peer, 0], &[2, 16], &[1, 4]).unwrap();
+                assert_eq!(got[1], (peer * 64 + 4) as i32);
+            }
+            "put_vara_all record" => ds
+                .put_vara_all(r, &[rank, 0], &[1, 64], &[1.5f32; 64])
+                .unwrap(),
+            "put_vara_all_flexible" => {
+                let bytes: Vec<u8> = vals(row, 128)
+                    .iter()
+                    .flat_map(|v| v.to_ne_bytes())
+                    .collect();
+                ds.put_vara_all_flexible(v, &[row, 0], &[2, 64], &bytes, 1, &mem)
+                    .unwrap();
+            }
+            "get_vara_all_flexible" => {
+                let mut buf = vec![0u8; 512];
+                ds.get_vara_all_flexible(v, &[peer, 0], &[2, 64], &mut buf, 1, &mem)
+                    .unwrap();
+                assert_eq!(buf[..4], (peer as i32 * 64).to_ne_bytes());
+            }
+            "wait_all" => {
+                ds.iput_vara(v, &[row, 0], &[1, 64], &vals(row, 64))
+                    .unwrap();
+                ds.iput_vara(v, &[row + 1, 0], &[1, 64], &vals(row + 1, 64))
+                    .unwrap();
+                ds.iput_vara(r, &[rank, 0], &[1, 64], &[2.5f32; 64])
+                    .unwrap();
+                let get = ds.iget_vara(v, &[peer, 0], &[2, 64]).unwrap();
+                ds.wait_all().unwrap();
+                assert_eq!(ds.take_result::<i32>(get).unwrap(), vals(peer, 128));
+            }
+            "wait_all one put" => {
+                ds.iput_vara(v, &[row, 0], &[2, 64], &vals(row, 128))
+                    .unwrap();
+                ds.wait_all().unwrap();
+            }
+            "wait" => {
+                ds.iput_vara(v, &[row, 8], &[2, 16], &[7i32; 32]).unwrap();
+                let get = ds.iget_vara(v, &[peer, 0], &[1, 64]).unwrap();
+                ds.wait().unwrap();
+                assert_eq!(ds.take_result::<i32>(get).unwrap().len(), 64);
+            }
+            _ => unreachable!("unknown access path {path}"),
+        };
+        let mut took = 0;
+        for turn in 0..4 {
+            if !indep || turn == c.rank() {
+                let t0 = c.now();
+                access(&mut ds);
+                took = (c.now() - t0).as_nanos();
+            }
+            if !indep {
+                break;
+            }
+            c.barrier().unwrap();
+        }
+        if indep {
+            ds.end_indep_data().unwrap();
+        }
+        ds.close().unwrap();
+        took
+    });
+    run.results
+}
+
+/// Golden virtual clock of the core access paths, recorded before the
+/// blocking and nonblocking calls were folded into one completion path
+/// (two kinds of row re-recorded since, as marked). Any change here is a
+/// change to the simulated testbed and must be re-baselined deliberately.
+#[test]
+fn golden_core_clock() {
+    #[rustfmt::skip]
+    let cases = [
+        ("put_vara_all", [1195928; 4]),
+        ("get_vara_all", [1209566; 4]),
+        ("put_vara", [2250746; 4]),
+        ("get_vars", [1122756, 1123776, 1122756, 1123776]),
+        ("put_vara_all record", [1209830; 4]),
+        // Re-recorded (were 1155928 and 1169566): flexible collectives now
+        // agree on their lowering and their outcome like the typed calls.
+        ("put_vara_all_flexible", [1195928; 4]),
+        ("get_vara_all_flexible", [1209566; 4]),
+        ("wait_all", [2387845; 4]),
+        // Re-recorded (were 1196078 and 3372743): a queue of one coalesced
+        // put is written from its own buffer, so no merge copy is charged.
+        ("wait_all one put", [1195976; 4]),
+        ("wait", [3372717; 4]),
+    ];
+    let mut bad = Vec::new();
+    for (path, want) in cases {
+        let got = path_clock(path);
+        if got != want {
+            bad.push(format!("{path}: got {got:?}, want {want:?}"));
+        }
+    }
+    assert!(bad.is_empty(), "golden clock moved:\n{}", bad.join("\n"));
+}

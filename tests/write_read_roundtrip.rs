@@ -3,7 +3,7 @@
 //! flexible API and all external types.
 
 use hpc_sim::SimConfig;
-use pnetcdf::{Dataset, Datatype, Info, NcType, Version};
+use pnetcdf::{Dataset, Datatype, Info, NcType, NcmpiError, Version};
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -235,8 +235,14 @@ fn reopen_written_dataset() {
             let v = ds.inq_varid("data").unwrap();
             let all: Vec<i16> = ds.get_vara_all(v, &[0], &[6]).unwrap();
             assert_eq!(all, vec![0, 2, 4, 6, 8, 10]);
-            // Read-only blocks writes.
-            assert!(ds.put_vara_all::<i16>(v, &[0], &[1], &[1]).is_err());
+            // Read-only blocks writes, and is reported before a bad value
+            // count in every put flavor.
+            let typed = ds.put_vara_all::<i16>(v, &[0], &[3], &[1]);
+            assert!(matches!(typed, Err(NcmpiError::ReadOnly)));
+            let flex = ds.put_vara_all_flexible(v, &[0], &[3], &[0; 8], 2, &Datatype::int());
+            assert!(matches!(flex, Err(NcmpiError::ReadOnly)));
+            let queued = ds.iput_vara::<i16>(v, &[0], &[3], &[1]);
+            assert!(matches!(queued, Err(NcmpiError::ReadOnly)));
             ds.close().unwrap();
         }
     });
